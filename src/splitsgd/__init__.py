@@ -2,8 +2,10 @@
 
 The package bundles:
 
-* synthetic linear / logistic regression benchmarks with per-sample
-  gradient oracles (:mod:`splitsgd.objectives`),
+* the per-sample SGD loop that every single-iterate path runs on, the
+  random streams and the error types (:mod:`splitsgd.core`),
+* synthetic linear / logistic regression benchmarks with per-datum and
+  full losses and gradients (:mod:`splitsgd.objectives`),
 * the two-thread gradient-coherence diagnostic (:mod:`splitsgd.diagnostic`),
 * the adaptive step-size schedule built on it plus baseline schedules
   (:mod:`splitsgd.optimizers`),
@@ -16,16 +18,7 @@ derivation is pure integer arithmetic, so every artifact is reproducible
 bit-for-bit across platforms.
 """
 
-from .core import (
-    DimensionError,
-    DivergenceError,
-    GradientSample,
-    NumericError,
-    OptimizerKernel,
-    RngStream,
-    fork_stream,
-    sgd_step,
-)
+from .core import DimensionError, DivergenceError, NumericError, RngStream
 from .diagnostic import DiagnosticConfig, DiagnosticResult, decide, run_diagnostic
 from .objectives import (
     Dataset,
@@ -53,12 +46,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionError",
     "DivergenceError",
-    "GradientSample",
     "NumericError",
-    "OptimizerKernel",
     "RngStream",
-    "fork_stream",
-    "sgd_step",
     "DiagnosticConfig",
     "DiagnosticResult",
     "decide",

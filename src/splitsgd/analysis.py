@@ -2,8 +2,8 @@
 
 Three tools: the coherence histogram (distribution of one window's
 coherence across seeded replications of burn-in + diagnostic), the exact
-sign-flip model of the false-stationarity probability, and the (w, q, eta)
-sensitivity grid of SplitSGD final losses.
+sign-flip model of the false-stationarity probability, and one cell of the
+(w, q, eta) sensitivity grid of SplitSGD final losses.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DivergenceError, RngStream, dot
+from .core import DivergenceError, RngStream, check_step_size
 from .diagnostic import DiagnosticConfig, _two_thread_window_means
 from .objectives import (
     Problem,
     ProblemSpec,
     build_problem,
-    make_oracle,
     perturbed_start,
     reversed_start,
     sigmoid,
@@ -31,10 +30,8 @@ __all__ = [
     "CoherenceSummary",
     "GridRow",
     "QRiskQuery",
-    "aggregate_grid",
     "coherence_histogram",
     "run_grid_cell",
-    "sensitivity_grid",
     "type1_error_probability",
 ]
 
@@ -71,8 +68,7 @@ class CoherenceStudy:
     start_noise_sd: float = 0.1
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        check_step_size(self.eta)
         if self.burn_in_steps < 0:
             raise ValueError("burn_in_steps must be >= 0")
         if self.window_index < 1 or self.l < 1:
@@ -139,8 +135,10 @@ def coherence_histogram(
 
     Returns (replication index, value) pairs for the replications that
     stayed finite, plus a summary.  Values are raw inner products, or
-    cosines when the study asks for normalized ones.  Divergent
-    replications are dropped from the histogram and counted.
+    cosines (clamped to [-1, 1], 0 where a window mean vanishes) when the
+    study asks for normalized ones.  Replications that diverge, in the
+    burn-in or in either diagnostic thread, are dropped from the histogram
+    and counted.
     """
     problem = build_problem(study.problem)
     dataset = problem.dataset
@@ -148,7 +146,6 @@ def coherence_histogram(
     base = reversed_start(spec) if study.start == "reversed" else spec.theta_star.copy()
     n_rep = study.replications
     windows = study.windows if study.windows is not None else study.window_index
-    oracle = make_oracle(dataset, spec.family)
     diag_cfg = DiagnosticConfig(eta=study.eta, w=windows, l=study.l, q=0.5)
 
     rep_streams = [rng.fork(r) for r in range(n_rep)]
@@ -176,15 +173,16 @@ def coherence_histogram(
             continue
         try:
             means_1, means_2, _, _ = _two_thread_window_means(
-                oracle, thetas[r], diag_cfg, None, rep_streams[r].fork(_CHILD_DIAGNOSTIC)
+                problem, thetas[r], diag_cfg, rep_streams[r].fork(_CHILD_DIAGNOSTIC)
             )
         except DivergenceError:
             diverged += 1
             continue
-        value = dot(means_1[i], means_2[i])
+        value = float(np.dot(means_1[i], means_2[i]))
         if study.normalized:
             norm = float(np.linalg.norm(means_1[i])) * float(np.linalg.norm(means_2[i]))
-            value = value / norm if norm > 0.0 else 0.0
+            # Rounding can push the quotient past +/-1 by an ulp.
+            value = min(1.0, max(-1.0, value / norm)) if norm > 0.0 else 0.0
         rows.append((r, value))
 
     values = np.array([v for _, v in rows], dtype=np.float64)
@@ -278,45 +276,3 @@ def run_grid_cell(
     except DivergenceError:
         value = math.inf
     return GridRow(w=w, q=q, eta=eta, seed=seed, final_log_loss=value)
-
-
-def sensitivity_grid(
-    problem: Problem,
-    base_config: SplitSgdConfig,
-    w_values,
-    q_values,
-    eta_values,
-    seeds,
-    budget_epochs: int,
-    rng: RngStream,
-    start_base: np.ndarray | None = None,
-) -> list[GridRow]:
-    """Full (w, q, eta, seed) product of :func:`run_grid_cell` rows, in
-    canonical (w, q, eta, seed) order."""
-    rows = []
-    for w in w_values:
-        for q in q_values:
-            for eta in eta_values:
-                for seed in seeds:
-                    rows.append(
-                        run_grid_cell(
-                            problem,
-                            base_config,
-                            w,
-                            q,
-                            eta,
-                            seed,
-                            rng.fork(seed),
-                            budget_epochs,
-                            start_base=start_base,
-                        )
-                    )
-    return rows
-
-
-def aggregate_grid(rows: list[GridRow]) -> dict[tuple[int, float, float], float]:
-    """Mean final log loss over seeds per (w, q, eta) cell."""
-    sums: dict[tuple[int, float, float], list[float]] = {}
-    for row in rows:
-        sums.setdefault((row.w, row.q, row.eta), []).append(row.final_log_loss)
-    return {key: float(np.mean(vals)) for key, vals in sums.items()}

@@ -4,7 +4,8 @@ Every command is deterministic given its flag set (including --seed): CSVs
 are written with canonical row ordering and repr-formatted floats, and each
 artifact gets a ``<out>.meta`` sidecar with the fully resolved
 configuration.  Option precedence is flags > config file (key=value lines
-via --config) > built-in defaults.
+via --config) > built-in defaults.  An out-of-range value, rejected by the
+configuration it feeds, exits 2 like any other usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import click
 
@@ -167,7 +169,21 @@ def _sidecar(out, command: str, params: dict) -> None:
     write_sidecar(out, entries)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Command(click.Command):
+    """A command whose configuration ``ValueError``s exit as usage errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            raise click.UsageError(str(err), ctx) from err
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="splitsgd")
 def cli():
     """Stochastic-gradient schedules with a two-thread stationarity
@@ -178,14 +194,13 @@ def cli():
 
 
 def _compare_cell(payload):
-    (problem, base, method, eta, seed_idx, master_seed, epochs, t1, w, l, q, gamma) = payload
+    (problem, base, method, eta, seed_idx, master_seed, epochs, t1, split_cfg) = payload
     stream = _experiment_stream(master_seed).fork(seed_idx)
     theta0 = perturbed_start(base, stream.fork(START_STREAM_CHILD))
     rng = stream.fork(_CHILD_DRAWS)
     try:
         if method == "splitsgd":
-            cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1, gamma=gamma)
-            trace = run_splitsgd(problem, cfg, theta0, rng, epochs)
+            trace = run_splitsgd(problem, replace(split_cfg, eta=eta), theta0, rng, epochs)
         elif method == "const":
             trace = run_constant_sgd(problem, eta, theta0, rng, epochs)
         elif method == "sqrt":
@@ -221,8 +236,11 @@ def compare(family, etas, epochs, seeds, methods, start, t1_epochs, w, l, q, gam
     problem = _make_problem(family, seed, noise_sd)
     base = _start_base(problem, start)
     t1 = t1_epochs * problem.spec.n
+    split_cfg = None
+    if "splitsgd" in methods:
+        split_cfg = SplitSgdConfig(eta=etas[0], w=w, l=l, q=q, t1=t1, gamma=gamma)
     payloads = [
-        (problem, base, method, eta, s, seed, epochs, t1, w, l, q, gamma)
+        (problem, base, method, eta, s, seed, epochs, t1, split_cfg)
         for method in methods
         for eta in etas
         for s in range(seeds)
@@ -243,12 +261,11 @@ def compare(family, etas, epochs, seeds, methods, start, t1_epochs, w, l, q, gam
 
 
 def _race_rep(payload):
-    (problem, base, rep, master_seed, eta, t1, w, l, q, gamma, max_epochs) = payload
+    (problem, base, rep, master_seed, cfg, max_epochs) = payload
     stream = _experiment_stream(master_seed).fork(rep)
     theta0 = perturbed_start(base, stream.fork(START_STREAM_CHILD))
-    cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1, gamma=gamma)
     split = run_split_detection(problem, cfg, theta0, stream.fork(_CHILD_SPLIT), max_epochs)
-    pflug = run_pflug_detection(problem, eta, theta0, stream.fork(_CHILD_PFLUG), max_epochs)
+    pflug = run_pflug_detection(problem, cfg.eta, theta0, stream.fork(_CHILD_PFLUG), max_epochs)
     return rep, split, pflug
 
 
@@ -280,11 +297,8 @@ def race(family, start, eta_scale, eta, reps, max_epochs, t1_epochs, w, l, q, ga
         eta = ETA_SCALES[eta_scale]
     problem = _make_problem(family, seed, noise_sd)
     base = _start_base(problem, start)
-    t1 = t1_epochs * problem.spec.n
-    payloads = [
-        (problem, base, rep, seed, eta, t1, w, l, q, gamma, max_epochs)
-        for rep in range(reps)
-    ]
+    cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * problem.spec.n, gamma=gamma)
+    payloads = [(problem, base, rep, seed, cfg, max_epochs) for rep in range(reps)]
     results = _pool_map(_race_rep, payloads, threads)
     rows = []
     for rep, split, pflug in sorted(results):
@@ -362,10 +376,7 @@ def mc(family, eta, burn_in_epochs, reps, window_index, l, windows, normalized, 
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Optionally also write the value to a file.")
 def qrisk(w, q, out):
     """Exact false-stationarity probability under the fair-sign model."""
-    try:
-        value = type1_error_probability(QRiskQuery(w=w, q=q))
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    value = type1_error_probability(QRiskQuery(w=w, q=q))
     click.echo(repr(value))
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -403,8 +414,8 @@ def sensitivity(family, w_values, q_values, etas, seeds, epochs, start, t1_epoch
     length is resized per w so one diagnostic costs one epoch."""
     threads = _resolve_threads(threads)
     problem = _make_problem(family, seed, noise_sd)
-    if any(problem.spec.n % w for w in w_values):
-        raise click.UsageError(f"every w must divide n={problem.spec.n}, got {w_values}")
+    if any(w < 1 or problem.spec.n % w for w in w_values):
+        raise click.UsageError(f"every w must be a positive divisor of n={problem.spec.n}, got {w_values}")
     base = _start_base(problem, start)
     base_cfg = SplitSgdConfig(eta=etas[0], t1=t1_epochs * problem.spec.n, gamma=gamma)
     payloads = [

@@ -1,30 +1,30 @@
 """Numeric primitives shared by the whole toolkit.
 
-Parameter vectors are plain 1-D float64 numpy arrays; this module adds the
-validation helpers, the seeded/forkable random-stream handle, the gradient
-sample container, and the single-step SGD update kernels (plain and
-momentum).  Everything downstream builds on these.
+Parameter vectors are plain 1-D float64 numpy arrays; this module adds
+their validation helpers, the seeded/forkable random-stream handle, the
+error types, and the single per-sample SGD loop (:func:`sgd_steps`) that
+every single-iterate optimizer path runs on: the constant-rate,
+``1/sqrt(t)`` and halving drivers, SplitSGD's threads, the two diagnostic
+threads and the pflug detector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DimensionError",
     "DivergenceError",
-    "GradientSample",
+    "GradientProducts",
     "NumericError",
-    "OptimizerKernel",
     "ParamVector",
     "RngStream",
     "as_param_vector",
-    "dot",
-    "fork_stream",
-    "sgd_step",
+    "check_step_size",
+    "sgd_steps",
 ]
 
 # A parameter vector is just a 1-D float64 ndarray of fixed dimension.
@@ -54,7 +54,7 @@ class DivergenceError(NumericError):
 
 
 class DimensionError(ValueError):
-    """Operands of an update or inner product have mismatched dimensions."""
+    """A parameter vector does not match the data it is updated with."""
 
 
 def as_param_vector(values, *, require_finite: bool = True) -> ParamVector:
@@ -65,6 +65,12 @@ def as_param_vector(values, *, require_finite: bool = True) -> ParamVector:
     if require_finite and not np.isfinite(arr).all():
         raise NumericError("parameter vector contains non-finite entries")
     return arr
+
+
+def check_step_size(eta: float) -> None:
+    """Reject a negative or NaN step size (``ValueError``)."""
+    if not eta >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
 
 
 def _mix64(a: int, b: int) -> int:
@@ -100,82 +106,95 @@ class RngStream:
         return RngStream(self.seed, _mix64(self.stream_id & _MASK64, child_id & _MASK64))
 
 
-def fork_stream(parent: RngStream, child_id: int) -> RngStream:
-    """Functional alias for :meth:`RngStream.fork`."""
-    return parent.fork(child_id)
+# Indices are drawn this many at a time; one batched Philox draw yields the
+# same indices as the same number of single draws, so the chunking never
+# shows in a result.
+_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class GradientSample:
-    """One stochastic gradient draw, with the per-datum loss when cheap."""
-
-    gradient: np.ndarray
-    loss_value: float | None = None
+def _sigmoid_scalar(z: float) -> float:
+    # Scalar logistic function for the per-draw hot paths; clipping at
+    # |z| = 40 is exact in float64.
+    if z < -40.0:
+        z = -40.0
+    elif z > 40.0:
+        z = 40.0
+    return 1.0 / (1.0 + math.exp(-z))
 
 
 @dataclass
-class OptimizerKernel:
-    """Update-rule state for :func:`sgd_step`.
+class GradientProducts:
+    """Running sum of inner products of consecutive sampled gradients.
 
-    ``kind`` is "plain" (theta -= eta * g) or "momentum"
-    (v <- momentum * v + g; theta -= eta * v).  The velocity buffer is the
-    only mutable state in the core types; ``fresh()`` returns a zero-velocity
-    copy of the same kernel spec.
+    Pflug's stationarity statistic.  ``total`` adds <g_t, g_(t-1)> from the
+    second draw on; ``prev_r`` and ``prev_x`` keep the last draw (its
+    gradient is ``prev_r * prev_x``) so the sum carries across calls of
+    :func:`sgd_steps`.
     """
 
-    kind: str = "plain"
-    momentum: float = 0.0
-    velocity: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("plain", "momentum"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum coefficient must lie in [0, 1), got {self.momentum}")
-
-    def fresh(self) -> "OptimizerKernel":
-        return OptimizerKernel(self.kind, self.momentum)
-
-    def reset_velocity(self) -> None:
-        self.velocity = None
+    total: float = 0.0
+    prev_r: float = 0.0
+    prev_x: np.ndarray | None = None
 
 
-def sgd_step(
-    theta: ParamVector,
-    sample: GradientSample,
-    eta: float,
-    kernel: OptimizerKernel | None = None,
+def sgd_steps(
+    features: np.ndarray,
+    targets: np.ndarray,
+    family: str,
+    theta: np.ndarray,
+    eta,
+    steps: int,
+    gen: np.random.Generator,
     *,
-    step: int | None = None,
-) -> ParamVector:
-    """One SGD update; returns the new iterate (inputs untouched).
+    first_step: int = 0,
+    window: np.ndarray | None = None,
+    products: GradientProducts | None = None,
+) -> None:
+    """Run ``steps`` single-sample SGD updates of ``theta`` in place.
 
-    Raises NumericError for a non-finite gradient, DimensionError on shape
-    mismatch, and DivergenceError if the updated iterate is non-finite.
+    Each step draws a row index uniformly with replacement from ``gen``,
+    forms that datum's residual r (``x.theta - y``, or ``sigmoid(x.theta) - y``
+    for the logistic family) and updates ``theta -= (eta * r) * x``.
+    ``eta`` is one step size, or an array holding one per step.
+
+    ``window`` receives the sum of the sampled gradients ``g = r * x``; the
+    update then reuses g as ``theta -= eta * g``, which rounds differently
+    from the plain update.  ``products`` accumulates the inner products of
+    consecutive gradients.
+
+    Divergence policy: a non-finite residual raises DivergenceError whose
+    ``step`` is ``first_step`` plus the index of the draw in this call.  An
+    iterate that overflows on the last step is left for the caller to check.
     """
-    if eta < 0.0:
-        raise ValueError(f"step size must be >= 0, got {eta}")
-    g = sample.gradient
-    if g.shape != theta.shape:
-        raise DimensionError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
-    if not np.isfinite(g).all():
-        raise NumericError("gradient has non-finite entries", step=step)
-
-    if kernel is None or kernel.kind == "plain":
-        out = theta - eta * g
-    else:
-        if kernel.velocity is None:
-            kernel.velocity = np.zeros_like(theta)
-        kernel.velocity = kernel.momentum * kernel.velocity + g
-        out = theta - eta * kernel.velocity
-
-    if not np.isfinite(out).all():
-        raise DivergenceError("iterate diverged (non-finite after update)", step=step)
-    return out
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product with a dimension check; single fixed code path."""
-    if a.shape != b.shape:
-        raise DimensionError(f"dot operands differ in shape: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
+    if theta.shape != (features.shape[1],):
+        raise DimensionError(f"parameter shape {theta.shape} != data dimension {features.shape[1]}")
+    n = features.shape[0]
+    linear = family == "linear"
+    rates = eta if isinstance(eta, np.ndarray) else None
+    if products is not None:
+        total, prev_r, prev_x = products.total, products.prev_r, products.prev_x
+    done = 0
+    # Overflow on a blown-up iterate is the divergence signal, not an
+    # anomaly: the next residual goes non-finite and raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < steps:
+            k = min(_CHUNK, steps - done)
+            for j, i in enumerate(gen.integers(0, n, size=k).tolist()):
+                x = features[i]
+                z = x.dot(theta)
+                r = z - targets[i] if linear else _sigmoid_scalar(z) - targets[i]
+                if not math.isfinite(r):
+                    raise DivergenceError("iterate diverged", step=first_step + done + j)
+                if window is not None:
+                    g = r * x
+                    window += g
+                    theta -= eta * g
+                    continue
+                if products is not None:
+                    if prev_x is not None:
+                        total += (r * prev_r) * x.dot(prev_x)
+                    prev_r, prev_x = r, x
+                theta -= ((eta if rates is None else rates[done + j]) * r) * x
+            done += k
+    if products is not None:
+        products.total, products.prev_r, products.prev_x = total, prev_r, prev_x

@@ -1,12 +1,14 @@
 """Two-thread splitting diagnostic for stationarity of constant-rate SGD.
 
 From a common starting point, two SGD threads run on independent sample
-streams.  Each thread's trajectory is cut into w windows of l steps and the
-sampled gradients are averaged per window; the inner products of paired
-window means ("gradient coherences") stay positive while both threads
-descend a shared trend and approach fair coin flips once the iterates
-bounce around a stationary distribution.  The decision rule counts negative
-coherences against a q*w threshold.
+streams, on the same per-sample loop as the main thread
+(:func:`splitsgd.core.sgd_steps`).  Each thread's trajectory is cut into w
+windows of l steps and the sampled gradients are averaged per window; the
+inner products of paired window means ("gradient coherences") stay
+positive while both threads descend a shared trend and approach fair coin
+flips once the iterates bounce around a stationary distribution.  The
+decision rule counts negative coherences against a q*w threshold.  A
+thread that diverges raises DivergenceError naming the thread and step.
 
 The sign balance is not immediate even at stationarity: both threads start
 from the same theta_in, so window i's mean gradient carries a conditional
@@ -21,32 +23,18 @@ about 0.5 from window 4 on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import (
-    DivergenceError,
-    GradientSample,
-    OptimizerKernel,
-    RngStream,
-    dot,
-    sgd_step,
-)
+from .core import DivergenceError, RngStream, check_step_size, sgd_steps
+from .objectives import Problem
 
 __all__ = [
     "DiagnosticConfig",
     "DiagnosticResult",
     "decide",
-    "gradient_coherence_trace",
     "run_diagnostic",
 ]
-
-Oracle = Callable[[np.ndarray, np.random.Generator], GradientSample]
-
-# Child ids of the two diagnostic threads under the diagnostic's stream.
-_THREAD_CHILDREN = (1, 2)
-
 
 @dataclass(frozen=True)
 class DiagnosticConfig:
@@ -63,8 +51,7 @@ class DiagnosticConfig:
     q: float = 0.4
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        check_step_size(self.eta)
         if self.w < 1 or self.l < 1:
             raise ValueError("w and l must be positive integers")
         if not 0.0 <= self.q <= 1.0:
@@ -98,86 +85,60 @@ def decide(coherences, q: float) -> tuple[bool, float]:
 
 
 def _run_thread(
-    oracle: Oracle,
+    problem: Problem,
     theta_in: np.ndarray,
     cfg: DiagnosticConfig,
-    kernel: OptimizerKernel,
     gen: np.random.Generator,
     thread_id: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One thread: w*l oracle-driven steps, per-window gradient means."""
-    theta = theta_in.copy()
-    means = np.empty((cfg.w, theta.shape[0]), dtype=np.float64)
-    kern = kernel.fresh()
-    plain = kern.kind == "plain"
-    step = 0
-    for i in range(cfg.w):
-        window_start = theta
-        acc = np.zeros_like(theta)
-        for _ in range(cfg.l):
-            sample = oracle(theta, gen)
-            acc += sample.gradient
-            try:
-                theta = sgd_step(theta, sample, cfg.eta, kern, step=step)
-            except DivergenceError as err:
-                raise DivergenceError(
-                    f"diagnostic thread {thread_id} diverged at step {step}",
-                    step=step,
-                    thread=thread_id,
-                ) from err
-            step += 1
-        means[i] = acc / cfg.l
-        if plain and cfg.eta > 0.0:
-            # Consistency of the accumulated mean with the iterate
-            # displacement over the window (holds exactly for the plain
-            # kernel, up to float cancellation).
-            assert np.allclose(
-                means[i], (window_start - theta) / (cfg.l * cfg.eta), rtol=1e-9, atol=1e-9
+    """One thread: w*l steps from theta_in, per-window gradient means."""
+    theta = np.array(theta_in, dtype=np.float64)
+    means = np.zeros((cfg.w, theta.shape[0]))
+    dataset = problem.dataset
+    try:
+        for i in range(cfg.w):
+            sgd_steps(
+                dataset.features, dataset.targets, problem.spec.family, theta, cfg.eta,
+                cfg.l, gen, first_step=i * cfg.l, window=means[i],
             )
+        if not np.isfinite(theta).all():
+            raise DivergenceError("iterate diverged", step=cfg.w * cfg.l - 1)
+    except DivergenceError as err:
+        raise DivergenceError(
+            f"diagnostic thread {thread_id} diverged at step {err.step}",
+            step=err.step,
+            thread=thread_id,
+        ) from err
+    means /= cfg.l
     return means, theta
 
 
 def _two_thread_window_means(
-    oracle: Oracle,
+    problem: Problem,
     theta_in: np.ndarray,
     cfg: DiagnosticConfig,
-    kernel: OptimizerKernel | None,
     rng: RngStream,
-    *,
-    swap_threads: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run both threads on independent child streams.
-
-    swap_threads exchanges the two child stream ids (used to check that the
-    diagnostic is symmetric in its threads).
-    """
-    kernel = kernel if kernel is not None else OptimizerKernel()
-    children = _THREAD_CHILDREN if not swap_threads else _THREAD_CHILDREN[::-1]
-    means_1, theta_1 = _run_thread(
-        oracle, theta_in, cfg, kernel, rng.fork(children[0]).generator(), thread_id=1
-    )
-    means_2, theta_2 = _run_thread(
-        oracle, theta_in, cfg, kernel, rng.fork(children[1]).generator(), thread_id=2
+    """Run both threads; thread k (1 or 2) draws from child stream k of ``rng``."""
+    (means_1, theta_1), (means_2, theta_2) = (
+        _run_thread(problem, theta_in, cfg, rng.fork(k).generator(), k) for k in (1, 2)
     )
     return means_1, means_2, theta_1, theta_2
 
 
 def run_diagnostic(
-    oracle: Oracle,
+    problem: Problem,
     theta_in: np.ndarray,
     cfg: DiagnosticConfig,
-    kernel: OptimizerKernel | None = None,
     rng: RngStream = RngStream(0),
 ) -> DiagnosticResult:
     """Run the two-thread diagnostic from theta_in.
 
-    Costs exactly 2*w*l oracle calls.  Each thread starts from theta_in with
-    a fresh (zero-velocity) kernel and its own child stream of ``rng``.
+    Costs exactly 2*w*l gradient draws.  Each thread starts from theta_in
+    with its own child stream of ``rng``.
     """
-    means_1, means_2, theta_1, theta_2 = _two_thread_window_means(
-        oracle, theta_in, cfg, kernel, rng
-    )
-    coherences = np.array([dot(means_1[i], means_2[i]) for i in range(cfg.w)])
+    means_1, means_2, theta_1, theta_2 = _two_thread_window_means(problem, theta_in, cfg, rng)
+    coherences = np.array([float(np.dot(m1, m2)) for m1, m2 in zip(means_1, means_2)])
     stationary, negative_count = decide(coherences, cfg.q)
     theta_d = (theta_1 + theta_2) / 2.0
     return DiagnosticResult(
@@ -186,23 +147,3 @@ def run_diagnostic(
         coherences=coherences,
         negative_count=negative_count,
     )
-
-
-def gradient_coherence_trace(
-    oracle: Oracle,
-    theta_in: np.ndarray,
-    cfg: DiagnosticConfig,
-    kernel: OptimizerKernel | None = None,
-    rng: RngStream = RngStream(0),
-) -> np.ndarray:
-    """Cosine-normalized per-window coherences (0 where a mean vanishes)."""
-    means_1, means_2, _, _ = _two_thread_window_means(oracle, theta_in, cfg, kernel, rng)
-    out = np.zeros(cfg.w, dtype=np.float64)
-    for i in range(cfg.w):
-        n1 = float(np.linalg.norm(means_1[i]))
-        n2 = float(np.linalg.norm(means_2[i]))
-        if n1 > 0.0 and n2 > 0.0:
-            # Clamp the float quotient into the mathematically guaranteed
-            # range (rounding can push it past +/-1 by an ulp).
-            out[i] = min(1.0, max(-1.0, dot(means_1[i], means_2[i]) / (n1 * n2)))
-    return out

@@ -3,20 +3,18 @@
 A ProblemSpec pins the data distribution (Gaussian features, exponentially
 decaying true coefficients) and a data stream; Dataset is the realized
 design matrix / target pair.  Per-datum losses are mean-reduced, so the
-stochastic gradient at a uniformly drawn index is an unbiased estimate of
-the full gradient.
+gradient at a uniformly drawn index (what :func:`splitsgd.core.sgd_steps`
+samples) is an unbiased estimate of the full gradient.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import GradientSample, RngStream, as_param_vector
+from .core import RngStream, _sigmoid_scalar, as_param_vector
 
 __all__ = [
     "Dataset",
@@ -29,15 +27,11 @@ __all__ = [
     "full_loss",
     "generate",
     "gradient_at_index",
-    "loss_at_index",
     "make_default_spec",
-    "make_oracle",
-    "noiseless_oracle",
     "perturbed_start",
     "read_dataset_csv",
     "reversed_start",
     "sigmoid",
-    "stochastic_gradient",
     "write_dataset_csv",
 ]
 
@@ -125,22 +119,6 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _sigmoid_scalar(z: float) -> float:
-    # Scalar twin of sigmoid() for the per-draw hot paths.
-    if z < -40.0:
-        z = -40.0
-    elif z > 40.0:
-        z = 40.0
-    return 1.0 / (1.0 + math.exp(-z))
-
-
-def _log1pexp(z: float) -> float:
-    # log(1 + e^z), stable for any float z.
-    if z > 0.0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
-
-
 def generate(spec: ProblemSpec) -> Dataset:
     """Realize the dataset from the spec's data stream.
 
@@ -164,57 +142,15 @@ def build_problem(spec: ProblemSpec | Problem) -> Problem:
     return Problem(spec=spec, dataset=generate(spec))
 
 
-def loss_at_index(dataset: Dataset, family: str, theta: np.ndarray, index: int) -> float:
-    x = dataset.features[index]
-    y = dataset.targets[index]
-    z = float(np.dot(x, theta))
-    if family == "linear":
-        r = z - y
-        return 0.5 * r * r
-    return _log1pexp(z) - y * z
-
-
 def gradient_at_index(dataset: Dataset, family: str, theta: np.ndarray, index: int) -> np.ndarray:
-    """Per-datum gradient; the single home of the gradient formulas."""
+    """Per-datum gradient r * x (the residual r is the one
+    :func:`splitsgd.core.sgd_steps` inlines)."""
     x = dataset.features[index]
     y = dataset.targets[index]
     z = float(np.dot(x, theta))
     if family == "linear":
         return (z - y) * x
     return (_sigmoid_scalar(z) - y) * x
-
-
-def stochastic_gradient(
-    dataset: Dataset, family: str, theta: np.ndarray, gen: np.random.Generator
-) -> GradientSample:
-    """Gradient at one uniformly drawn index (with replacement)."""
-    i = int(gen.integers(0, dataset.features.shape[0]))
-    return GradientSample(
-        gradient=gradient_at_index(dataset, family, theta, i),
-        loss_value=loss_at_index(dataset, family, theta, i),
-    )
-
-
-def make_oracle(dataset: Dataset, family: str) -> Callable[[np.ndarray, np.random.Generator], GradientSample]:
-    """Bind a (dataset, family) pair into the oracle signature used by the
-    diagnostic: oracle(theta, gen) -> GradientSample."""
-
-    def oracle(theta: np.ndarray, gen: np.random.Generator) -> GradientSample:
-        return stochastic_gradient(dataset, family, theta, gen)
-
-    return oracle
-
-
-def noiseless_oracle(dataset: Dataset, family: str) -> Callable[[np.ndarray, np.random.Generator], GradientSample]:
-    """Oracle that returns the exact full gradient (ignores the stream)."""
-
-    def oracle(theta: np.ndarray, gen: np.random.Generator) -> GradientSample:
-        return GradientSample(
-            gradient=full_gradient(dataset, family, theta),
-            loss_value=full_loss(dataset, family, theta),
-        )
-
-    return oracle
 
 
 def full_loss(dataset: Dataset, family: str, theta: np.ndarray) -> float:

@@ -1,9 +1,10 @@
 """Optimizer drivers: SplitSGD and the baseline schedules.
 
-All drivers share one inner stepping loop, charge budget in "units" (one
-unit per gradient draw on the main thread; a diagnostic is charged w*l
-units because its two threads conceptually run in parallel), and log the
-full loss once per epoch boundary (an epoch is n budget units).  The trace
+All drivers step on the per-sample loop :func:`splitsgd.core.sgd_steps`,
+charge budget in "units" (one unit per gradient draw on the main thread;
+a diagnostic is charged w*l units because its two threads conceptually
+run in parallel), and log the full loss once per epoch boundary (an epoch
+is n budget units).  The trace
 additionally carries the true gradient-evaluation count, which includes
 both diagnostic threads (2*w*l per diagnostic).
 """
@@ -15,15 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._csvio import fmt_value, write_csv
-from .core import (
-    DivergenceError,
-    OptimizerKernel,
-    RngStream,
-    as_param_vector,
-)
+from ._csvio import write_csv
+from .core import GradientProducts, RngStream, as_param_vector, check_step_size, sgd_steps
 from .diagnostic import DiagnosticConfig, run_diagnostic
-from .objectives import Problem, _sigmoid_scalar, full_loss, make_oracle
+from .objectives import Problem, full_loss
 
 __all__ = [
     "EVENT_DIAG_N",
@@ -53,14 +49,12 @@ EVENT_DIAG_N = "diagnostic-N"
 EVENT_HALVED = "lr-halved"
 EVENT_PFLUG = "pflug-detect"
 
-_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class SplitSgdConfig:
     """Schedule parameters: start rate eta, diagnostic shape (w, l, q),
-    diagnostic cap B, initial thread length t1 (in gradient steps), decay
-    factor gamma, and the update kernel used by threads and diagnostics."""
+    diagnostic cap B, initial thread length t1 (in gradient steps) and decay
+    factor gamma."""
 
     eta: float
     w: int = 20
@@ -69,11 +63,9 @@ class SplitSgdConfig:
     B: int = 1_000_000
     t1: int = 4000
     gamma: float = 0.5
-    kernel: OptimizerKernel = field(default_factory=OptimizerKernel)
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        check_step_size(self.eta)
         if self.w < 1 or self.l < 1:
             raise ValueError("w and l must be positive integers")
         if not 0.0 <= self.q <= 1.0:
@@ -155,15 +147,18 @@ def final_log_loss(trace: RunTrace) -> float:
 class _EpochLog:
     """Budget counter plus per-epoch-boundary trace records.
 
-    ``charged`` counts budget units, ``evals`` true gradient draws.  The
-    ``pending`` event is attached to the first record written at or after
-    the event occurred.
+    ``budget`` is the run's length in budget units, ``charged`` counts
+    budget units, ``evals`` true gradient draws.  The ``pending`` event is
+    attached to the first record written at or after the event occurred.
     """
 
-    def __init__(self, problem: Problem, record_loss: bool = True):
+    def __init__(self, problem: Problem, budget_epochs: int, record_loss: bool = True):
+        if budget_epochs < 0:
+            raise ValueError(f"the epoch budget must be >= 0, got {budget_epochs}")
         self.dataset = problem.dataset
         self.family = problem.spec.family
         self.n = problem.spec.n
+        self.budget = budget_epochs * self.n
         self.record_loss = record_loss
         self.charged = 0
         self.evals = 0
@@ -200,56 +195,27 @@ class _EpochLog:
                 self.pending = EVENT_NONE
 
 
-def _constant_segment(
-    features: np.ndarray,
-    targets: np.ndarray,
-    family: str,
+def _run_segment(
     theta: np.ndarray,
     eta: float,
     steps: int,
     gen: np.random.Generator,
     log: _EpochLog,
-    kernel: OptimizerKernel | None = None,
+    products: GradientProducts | None = None,
 ) -> None:
-    """Run ``steps`` single-thread SGD updates at fixed eta, in place.
+    """Run ``steps`` main-thread SGD updates at fixed eta, in place.
 
-    Chunks are cut at epoch boundaries so boundary records see the exact
-    boundary iterate; the chunk pattern depends only on the boundary grid,
-    keeping draw sequences identical across drivers that share a stream.
+    Calls are cut at epoch boundaries so boundary records see the exact
+    boundary iterate.
     """
-    if steps <= 0:
-        return
-    n = features.shape[0]
-    linear = family == "linear"
-    momentum = kernel is not None and kernel.kind == "momentum"
-    if momentum:
-        if kernel.velocity is None:
-            kernel.velocity = np.zeros_like(theta)
-        v = kernel.velocity
-        mu = kernel.momentum
-    log.current_eta = eta
-    done = 0
-    # Overflow on a blown-up iterate is the detection signal here, not an
-    # anomaly: the next residual goes non-finite and raises.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < steps:
-            k = min(_CHUNK, steps - done, log.steps_to_boundary())
-            idx = gen.integers(0, n, size=k)
-            for j in range(k):
-                i = idx[j]
-                x = features[i]
-                z = np.dot(x, theta)
-                r = z - targets[i] if linear else _sigmoid_scalar(z) - targets[i]
-                if not math.isfinite(r):
-                    raise DivergenceError("iterate diverged", step=log.evals + j)
-                if momentum:
-                    v *= mu
-                    v += r * x
-                    theta -= eta * v
-                else:
-                    theta -= (eta * r) * x
-            done += k
-            log.advance(k, k, theta)
+    while steps > 0:
+        k = min(steps, log.steps_to_boundary())
+        sgd_steps(
+            log.dataset.features, log.dataset.targets, log.family, theta, eta, k, gen,
+            first_step=log.evals, products=products,
+        )
+        log.advance(k, k, theta)
+        steps -= k
 
 
 def run_constant_sgd(
@@ -260,31 +226,21 @@ def run_constant_sgd(
     budget_epochs: int,
 ) -> RunTrace:
     """Plain SGD at a fixed step size for ``budget_epochs`` epochs."""
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    check_step_size(eta)
     theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem)
+    log = _EpochLog(problem, budget_epochs)
     log.log_initial(theta, eta)
-    gen = rng.generator()
-    _constant_segment(
-        problem.dataset.features,
-        problem.dataset.targets,
-        problem.spec.family,
-        theta,
-        eta,
-        budget_epochs * problem.spec.n,
-        gen,
-        log,
-    )
+    _run_segment(theta, eta, log.budget, rng.generator(), log)
     return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
 
 
-def sqrt_decay_schedule(eta: float, t: int) -> float:
-    """Step size of the t-th draw (1-based) under 1/sqrt(t) decay.
+def sqrt_decay_schedule(eta: float, t):
+    """Step size of the t-th draw (1-based; an int or an array of them)
+    under 1/sqrt(t) decay.
 
     Starts at 20*eta and crosses eta at t = 400.
     """
-    return 20.0 * eta / math.sqrt(t)
+    return 20.0 * eta / np.sqrt(t)
 
 
 def run_sqrt_decay_sgd(
@@ -295,32 +251,20 @@ def run_sqrt_decay_sgd(
     budget_epochs: int,
 ) -> RunTrace:
     """SGD with the deterministic 1/sqrt(t) step-size decay."""
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    check_step_size(eta)
     theta = as_param_vector(theta0).copy()
-    features = problem.dataset.features
-    targets = problem.dataset.targets
-    linear = problem.spec.family == "linear"
     n = problem.spec.n
-    log = _EpochLog(problem)
+    log = _EpochLog(problem, budget_epochs)
     log.log_initial(theta, sqrt_decay_schedule(eta, 1))
     gen = rng.generator()
-    steps = budget_epochs * n
-    t = 0
-    while t < steps:
-        k = min(_CHUNK, steps - t, log.steps_to_boundary())
-        idx = gen.integers(0, n, size=k)
-        for j in range(k):
-            i = idx[j]
-            x = features[i]
-            z = np.dot(x, theta)
-            r = z - targets[i] if linear else _sigmoid_scalar(z) - targets[i]
-            if not math.isfinite(r):
-                raise DivergenceError("iterate diverged", step=log.evals + j)
-            theta -= (sqrt_decay_schedule(eta, t + j + 1) * r) * x
-        t += k
-        log.current_eta = sqrt_decay_schedule(eta, min(t + 1, steps))
-        log.advance(k, k, theta)
+    for t in range(0, log.budget, n):
+        sgd_steps(
+            problem.dataset.features, problem.dataset.targets, problem.spec.family, theta,
+            sqrt_decay_schedule(eta, np.arange(t + 1, t + n + 1)), n, gen, first_step=t,
+        )
+        # Each record carries the rate of the next draw (the last one's at the end).
+        log.current_eta = sqrt_decay_schedule(eta, min(t + n + 1, log.budget))
+        log.advance(n, n, theta)
     return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
 
 
@@ -334,30 +278,18 @@ def run_sgd_half(
 ) -> RunTrace:
     """Open-loop halving: threads of length t1, 2*t1, 4*t1, ... at step
     sizes eta, eta/2, eta/4, ...; no diagnostics."""
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    check_step_size(eta)
     if t1 < 1:
         raise ValueError("t1 must be a positive number of steps")
     theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem)
+    log = _EpochLog(problem, budget_epochs)
     log.log_initial(theta, eta)
     gen = rng.generator()
-    budget_units = budget_epochs * problem.spec.n
     current_eta = eta
     current_len = t1
-    while log.charged < budget_units:
-        steps = min(current_len, budget_units - log.charged)
-        _constant_segment(
-            problem.dataset.features,
-            problem.dataset.targets,
-            problem.spec.family,
-            theta,
-            current_eta,
-            steps,
-            gen,
-            log,
-        )
-        if log.charged >= budget_units:
+    while log.charged < log.budget:
+        _run_segment(theta, current_eta, min(current_len, log.budget - log.charged), gen, log)
+        if log.charged >= log.budget:
             break
         current_eta /= 2.0
         current_len *= 2
@@ -377,48 +309,31 @@ def _splitsgd_engine(
     stop_on_detection: bool = False,
 ) -> tuple[RunTrace, int | None]:
     theta = as_param_vector(theta0).copy()
-    features = problem.dataset.features
-    targets = problem.dataset.targets
-    family = problem.spec.family
     n = problem.spec.n
-    oracle = make_oracle(problem.dataset, family)
-    momentum = cfg.kernel.kind == "momentum"
-
-    log = _EpochLog(problem, record_loss=record_loss)
+    log = _EpochLog(problem, budget_epochs, record_loss=record_loss)
     log.log_initial(theta, cfg.eta)
     gen = rng.generator()
     state = ScheduleState(cfg.eta, cfg.t1)
     events: list[DiagnosticEvent] = []
-    budget_units = budget_epochs * n
     diag_cost = cfg.w * cfg.l
     diags_done = 0
     detection_epoch: int | None = None
 
-    while log.charged < budget_units:
-        remaining = budget_units - log.charged
+    while log.charged < log.budget:
+        remaining = log.budget - log.charged
         if diags_done >= cfg.B:
             steps = remaining
         else:
             steps = min(state.current_thread_length, remaining)
-        _constant_segment(
-            features,
-            targets,
-            family,
-            theta,
-            state.current_eta,
-            steps,
-            gen,
-            log,
-            kernel=cfg.kernel.fresh() if momentum else None,
-        )
-        remaining = budget_units - log.charged
+        _run_segment(theta, state.current_eta, steps, gen, log)
+        remaining = log.budget - log.charged
         if remaining <= 0 or diags_done >= cfg.B or remaining < diag_cost:
             # No room (or no budget) for another full diagnostic; the loop
             # either exits or keeps threading to the end of the budget.
             continue
         diags_done += 1
         diag_cfg = DiagnosticConfig(eta=state.current_eta, w=cfg.w, l=cfg.l, q=cfg.q)
-        result = run_diagnostic(oracle, theta, diag_cfg, cfg.kernel, rng.fork(diags_done))
+        result = run_diagnostic(problem, theta, diag_cfg, rng.fork(diags_done))
         theta = result.theta_d.copy()
         if result.stationary:
             state = state.after_detection(cfg.gamma)
@@ -487,49 +402,19 @@ def _pflug_loop(
     theta0: np.ndarray,
     rng: RngStream,
     max_epochs: int,
-    log: _EpochLog | None,
-) -> tuple[int | None, np.ndarray, int]:
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    record_loss: bool,
+) -> tuple[int | None, np.ndarray, _EpochLog]:
+    check_step_size(eta)
     theta = as_param_vector(theta0).copy()
-    features = problem.dataset.features
-    targets = problem.dataset.targets
-    linear = problem.spec.family == "linear"
-    n = problem.spec.n
+    log = _EpochLog(problem, max_epochs, record_loss=record_loss)
+    log.log_initial(theta, eta)
     gen = rng.generator()
-    if log is not None:
-        log.log_initial(theta, eta)
-
-    running_sum = 0.0
-    prev_r = 0.0
-    prev_x: np.ndarray | None = None
-    evals = 0
+    products = GradientProducts()
     for epoch in range(1, max_epochs + 1):
-        done = 0
-        while done < n:
-            k = min(_CHUNK, n - done)
-            idx = gen.integers(0, n, size=k)
-            for j in range(k):
-                i = idx[j]
-                x = features[i]
-                z = np.dot(x, theta)
-                r = z - targets[i] if linear else _sigmoid_scalar(z) - targets[i]
-                if not math.isfinite(r):
-                    raise DivergenceError("iterate diverged", step=evals + j)
-                if prev_x is not None:
-                    # Inner product of consecutive stochastic gradients,
-                    # g_t = r_t * x_t, accumulated from the second draw on.
-                    running_sum += (r * prev_r) * np.dot(x, prev_x)
-                prev_r = r
-                prev_x = x
-                theta -= (eta * r) * x
-            done += k
-            evals += k
-            if log is not None:
-                log.advance(k, k, theta)
-        if running_sum < 0.0:
-            return epoch, theta, evals
-    return None, theta, evals
+        _run_segment(theta, eta, problem.spec.n, gen, log, products)
+        if products.total < 0.0:
+            return epoch, theta, log
+    return None, theta, log
 
 
 def run_pflug_detection(
@@ -542,7 +427,7 @@ def run_pflug_detection(
     """Constant-rate SGD with the running sum of consecutive-gradient inner
     products; reports the first epoch boundary where the sum is negative,
     or None when ``max_epochs`` pass without one."""
-    detection, _, _ = _pflug_loop(problem, eta, theta0, rng, max_epochs, log=None)
+    detection, _, _ = _pflug_loop(problem, eta, theta0, rng, max_epochs, record_loss=False)
     return detection
 
 
@@ -555,10 +440,8 @@ def run_pflug_trace(
 ) -> tuple[int | None, RunTrace]:
     """Traced variant of :func:`run_pflug_detection`; the record at the
     detection epoch carries the "pflug-detect" event."""
-    log = _EpochLog(problem)
-    detection, theta, evals = _pflug_loop(problem, eta, theta0, rng, max_epochs, log=log)
+    detection, theta, log = _pflug_loop(problem, eta, theta0, rng, max_epochs, record_loss=True)
     records = log.records
     if detection is not None and records:
-        last = records[-1]
-        records[-1] = replace(last, event=EVENT_PFLUG)
-    return detection, RunTrace(records=records, final_theta=theta, total_evals=evals)
+        records[-1] = replace(records[-1], event=EVENT_PFLUG)
+    return detection, RunTrace(records=records, final_theta=theta, total_evals=log.evals)

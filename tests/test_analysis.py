@@ -1,4 +1,4 @@
-"""Monte-Carlo studies, false-trigger probabilities, and the sensitivity grid."""
+"""Monte-Carlo studies, false-trigger probabilities, and sensitivity-grid cells."""
 
 import math
 from dataclasses import replace
@@ -10,10 +10,8 @@ import pytest
 from splitsgd.analysis import (
     CoherenceStudy,
     QRiskQuery,
-    aggregate_grid,
     coherence_histogram,
     run_grid_cell,
-    sensitivity_grid,
     type1_error_probability,
 )
 from splitsgd.core import RngStream
@@ -75,36 +73,79 @@ class TestType1Error:
             QRiskQuery(w=10, q=1.5)
 
 
+def _problem(features, targets):
+    features = np.asarray(features, dtype=np.float64)
+    n, d = features.shape
+    spec = ProblemSpec(
+        family="linear", n=n, d=d, theta_star=np.zeros(d), noise_sd=0.0, data_seed=RngStream(0)
+    )
+    return Problem(spec=spec, dataset=Dataset(features=features, targets=np.asarray(targets, float)))
+
+
 class TestCoherenceHistogram:
     def test_normalized_rows_are_bounded(self, small_linear_problem):
+        for window_index, l, seed in ((2, 6, 21), (10, 3, 22)):
+            study = CoherenceStudy(
+                problem=small_linear_problem,
+                eta=1e-2,
+                replications=40,
+                window_index=window_index,
+                l=l,
+                normalized=True,
+            )
+            rows, summary = coherence_histogram(study, RngStream(seed))
+            assert len(rows) == summary.kept == 40
+            assert summary.diverged == 0
+            values = [value for _, value in rows]
+            assert all(-1.0 <= v <= 1.0 for v in values)
+            assert summary.negative_fraction == np.mean([v < 0 for v in values]) + 0.5 * np.mean(
+                [v == 0 for v in values]
+            )
+
+    def test_normalized_identical_threads_give_one(self):
+        # One row makes both threads identical, so every cosine is that of a
+        # vector with itself; rounding must not push it past 1.
+        problem = _problem([[1.0, 2.0]], [3.0])
         study = CoherenceStudy(
-            problem=small_linear_problem,
-            eta=1e-2,
-            replications=40,
-            window_index=2,
-            l=6,
-            normalized=True,
+            problem=problem, eta=1e-3, replications=25, window_index=2, l=10,
+            start="near-optimum", normalized=True,
         )
-        rows, summary = coherence_histogram(study, RngStream(21))
-        assert len(rows) == summary.kept == 40
-        assert summary.diverged == 0
-        values = [value for _, value in rows]
-        assert all(-1.0 <= v <= 1.0 for v in values)
-        assert summary.negative_fraction == np.mean([v < 0 for v in values]) + 0.5 * np.mean(
-            [v == 0 for v in values]
+        rows, _ = coherence_histogram(study, RngStream(2))
+        values = np.array([value for _, value in rows])
+        assert np.all(values <= 1.0)
+        assert np.allclose(values, 1.0, atol=1e-12)
+
+    def test_normalized_opposite_window_means_give_minus_one(self):
+        # Two rows whose gradients at theta = 0 are +g and -g; frozen
+        # iterates (eta = 0) and one-step windows make each cosine +1 (same
+        # row drawn by both threads) or -1 (different rows).
+        problem = _problem([[1.0, 2.0], [1.0, 2.0]], [1.0, -1.0])
+        study = CoherenceStudy(
+            problem=problem, eta=0.0, replications=40, window_index=3, l=1,
+            start="near-optimum", start_noise_sd=0.0, normalized=True,
         )
+        rows, _ = coherence_histogram(study, RngStream(4))
+        values = np.array([value for _, value in rows])
+        assert np.all(np.abs(values) <= 1.0)
+        assert np.allclose(np.abs(values), 1.0, atol=1e-15)
+        assert values.min() < 0.0 < values.max()
+
+    def test_normalized_vanishing_mean_reports_zero(self):
+        # The start solves the one row exactly: every gradient and window
+        # mean is zero, and a zero counts half towards the negative fraction.
+        problem = _problem([[1.0, 2.0]], [0.0])
+        study = CoherenceStudy(
+            problem=problem, eta=1e-2, replications=5, window_index=2, l=3,
+            start="near-optimum", start_noise_sd=0.0, normalized=True,
+        )
+        rows, summary = coherence_histogram(study, RngStream(0))
+        assert [value for _, value in rows] == [0.0] * 5
+        assert summary.negative_fraction == 0.5
 
     def test_deterministic_oracle_never_negative(self):
         # A one-sample noiseless problem makes both diagnostic threads
         # deterministic and identical, so every coherence is a squared norm.
-        spec = ProblemSpec(
-            family="linear", n=1, d=2, theta_star=np.zeros(2), noise_sd=0.0,
-            data_seed=RngStream(0),
-        )
-        problem = Problem(
-            spec=spec,
-            dataset=Dataset(features=np.array([[1.0, 2.0]]), targets=np.array([3.0])),
-        )
+        problem = _problem([[1.0, 2.0]], [3.0])
         study = CoherenceStudy(
             problem=problem, eta=1e-3, replications=25, window_index=2, l=10,
             start="near-optimum",
@@ -139,22 +180,6 @@ class TestCoherenceHistogram:
 
 
 class TestSensitivityGrid:
-    def test_row_count_and_order(self, small_linear_problem):
-        base = SplitSgdConfig(eta=1e-2, t1=30)
-        rows = sensitivity_grid(
-            small_linear_problem,
-            base_config=base,
-            w_values=(4, 6),
-            q_values=(0.25, 0.5),
-            eta_values=(1e-3, 1e-2),
-            seeds=range(2),
-            budget_epochs=3,
-            rng=RngStream(3),
-        )
-        assert len(rows) == 2 * 2 * 2 * 2
-        keys = [(r.w, r.q, r.eta, r.seed) for r in rows]
-        assert keys == sorted(keys)
-
     def test_window_steps_cover_one_pass(self, small_linear_problem):
         # A grid cell with w windows must run its diagnostic threads for
         # exactly n probes: l = n / w.  Reproducing the cell by hand with
@@ -186,15 +211,3 @@ class TestSensitivityGrid:
                 small_linear_problem, base_config=base, w=7, q=0.4, eta=1e-3,
                 seed=0, budget_epochs=2, rng=RngStream(0),
             )
-
-    def test_aggregate_means(self):
-        from splitsgd.analysis import GridRow
-
-        rows = [
-            GridRow(w=4, q=0.5, eta=1e-3, seed=0, final_log_loss=1.0),
-            GridRow(w=4, q=0.5, eta=1e-3, seed=1, final_log_loss=3.0),
-            GridRow(w=8, q=0.5, eta=1e-3, seed=0, final_log_loss=-2.0),
-        ]
-        means = aggregate_grid(rows)
-        assert means[(4, 0.5, 1e-3)] == 2.0
-        assert means[(8, 0.5, 1e-3)] == -2.0

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: artifacts, determinism, config precedence, exits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ class TestMc:
         assert all(-1.0 <= float(r[1]) <= 1.0 for r in rows)
         assert all(r[2] == "1" for r in rows)
 
+    def test_divergent_diagnostic_is_counted(self, runner, tmp_path):
+        # At eta = 1 the diagnostic threads blow up: such replications are
+        # counted in `diverged`, quietly, and the command succeeds.
+        out = tmp_path / "mcd.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, [
+                "mc", "--eta", "1", "--windows", "20", "--window-index", "1",
+                "--reps", "50", "--out", str(out),
+            ])
+        assert result.exit_code == 0, result.output
+        assert "Warning" not in result.output
+        meta = _meta(out)
+        assert int(meta["diverged"]) > 0
+        assert int(meta["kept"]) + int(meta["diverged"]) == 50
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         out = tmp_path / "mc.csv"
         args = ["mc", "--reps", "6", "--l", "4", "--out", str(out)]
@@ -315,6 +332,25 @@ class TestGenData:
         expected = build_problem(spec).dataset
         assert np.array_equal(dataset.features, expected.features)
         assert np.array_equal(dataset.targets, expected.targets)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("args", [
+        ["mc", "--reps", "0"],
+        ["race", "--w", "0"],
+        ["compare", "--gamma", "1.5"],
+        ["gen-data", "--n", "0"],
+        ["sensitivity", "--w-values", "0"],
+        ["compare", "--epochs", "-1"],
+        ["compare", "--etas", "nan"],
+    ], ids=" ".join)
+    def test_bad_value_is_usage_error(self, runner, tmp_path, args):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(cli, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta").exists()
 
 
 class TestEntryPoints:

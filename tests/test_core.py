@@ -1,4 +1,6 @@
-"""Core numeric primitives: the SGD step, inner product, and rng streams."""
+"""Core numeric primitives: the per-sample SGD loop, step-size checks, rng streams."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +10,12 @@ from hypothesis import strategies as st
 from splitsgd.core import (
     DimensionError,
     DivergenceError,
-    GradientSample,
+    GradientProducts,
     NumericError,
-    OptimizerKernel,
     RngStream,
     as_param_vector,
-    dot,
-    fork_stream,
-    sgd_step,
+    check_step_size,
+    sgd_steps,
 )
 
 
@@ -23,105 +23,124 @@ def _vec(*values):
     return np.array(values, dtype=np.float64)
 
 
+def _data(seed, n=7, d=3):
+    gen = RngStream(seed).generator()
+    return gen.standard_normal((n, d)), gen.standard_normal(n)
+
+
 class TestSgdStep:
     def test_plain_arithmetic(self):
-        out = sgd_step(_vec(1.0, 1.0), GradientSample(_vec(2.0, -4.0)), 0.5)
-        assert np.array_equal(out, _vec(0.0, 3.0))
+        # One row x = (1, 2), y = 1: at theta = 0 the residual is -1, so one
+        # step at eta = 0.5 moves theta by +0.5 * x.
+        theta = _vec(0.0, 0.0)
+        sgd_steps(np.array([[1.0, 2.0]]), _vec(1.0), "linear", theta, 0.5, 1, RngStream(0).generator())
+        assert np.array_equal(theta, _vec(0.5, 1.0))
 
     def test_zero_step_size_is_identity(self):
+        features, targets = _data(1)
         theta = _vec(3.5, -2.0, 7.0)
-        out = sgd_step(theta, GradientSample(_vec(1.0, 2.0, 3.0)), 0.0)
-        assert np.array_equal(out, theta)
+        sgd_steps(features, targets, "linear", theta, 0.0, 25, RngStream(2).generator())
+        assert np.array_equal(theta, _vec(3.5, -2.0, 7.0))
 
     def test_plain_update_is_exact_expression(self):
-        # theta' must equal the literal expression theta - eta*g, bit for bit.
-        gen = RngStream(5).generator()
-        theta = gen.standard_normal(8)
-        g = gen.standard_normal(8)
-        out = sgd_step(theta, GradientSample(g), 0.37)
-        assert np.array_equal(out, theta - 0.37 * g)
+        # theta' must equal the literal expression theta - (eta*r) * x, bit
+        # for bit; with a window it is theta - eta * (r*x), and the window
+        # receives r*x.
+        features, targets = _data(5)
+        theta = RngStream(5).generator().standard_normal(3)
+        i = RngStream(6).generator().integers(0, 7, size=1)[0]
+        z = float(np.dot(features[i], theta))
+        for family, r in (
+            ("linear", z - targets[i]),
+            ("logistic", 1.0 / (1.0 + math.exp(-z)) - targets[i]),
+        ):
+            plain = theta.copy()
+            sgd_steps(features, targets, family, plain, 0.37, 1, RngStream(6).generator())
+            assert np.array_equal(plain, theta - (0.37 * r) * features[i])
+
+            windowed, window = theta.copy(), np.zeros(3)
+            sgd_steps(features, targets, family, windowed, 0.37, 1, RngStream(6).generator(),
+                      window=window)
+            assert np.array_equal(window, r * features[i])
+            assert np.array_equal(windowed, theta - 0.37 * (r * features[i]))
 
     def test_inputs_not_mutated(self):
-        theta = _vec(1.0, 2.0)
-        g = _vec(3.0, 4.0)
-        theta_copy, g_copy = theta.copy(), g.copy()
-        sgd_step(theta, GradientSample(g), 0.1)
-        assert np.array_equal(theta, theta_copy)
-        assert np.array_equal(g, g_copy)
+        # Only theta and the accumulators change; the data rows the loop
+        # reads by view stay untouched.
+        features, targets = _data(3)
+        f_copy, t_copy = features.copy(), targets.copy()
+        sgd_steps(features, targets, "linear", np.ones(3), 0.1, 20, RngStream(4).generator(),
+                  window=np.zeros(3))
+        sgd_steps(features, targets, "logistic", np.ones(3), 0.1, 20, RngStream(4).generator(),
+                  products=GradientProducts())
+        assert np.array_equal(features, f_copy)
+        assert np.array_equal(targets, t_copy)
 
-    def test_momentum_two_steps_hand_unrolled(self):
-        kern = OptimizerKernel(kind="momentum", momentum=0.9)
-        g = GradientSample(_vec(1.0, 0.0))
-        theta_1 = sgd_step(_vec(0.0, 0.0), g, 1.0, kern)
-        assert np.array_equal(theta_1, _vec(-1.0, 0.0))
-        theta_2 = sgd_step(theta_1, g, 1.0, kern)
-        # Hand-unroll: v1 = 1, v2 = 0.9*1 + 1 = 1.9, theta2 = -1 - 1.9.
-        v2 = 0.9 * 1.0 + 1.0
-        assert np.array_equal(theta_2, _vec(-1.0 - v2, 0.0))
-        assert theta_2[0] == pytest.approx(-2.9)
-
-    def test_momentum_zero_matches_plain_bitwise(self):
+    def test_split_calls_equal_one_call(self):
+        # Draws, iterate and the consecutive-gradient sum carry across calls
+        # on one generator: 2000 steps in one call (two index chunks) equal
+        # 300 + 1700 steps in two.
+        features, targets = _data(8)
+        whole, whole_sum = np.zeros(3), GradientProducts()
+        sgd_steps(features, targets, "linear", whole, 1e-2, 2000, RngStream(9).generator(),
+                  products=whole_sum)
+        split, split_sum = np.zeros(3), GradientProducts()
         gen = RngStream(9).generator()
-        theta_plain = gen.standard_normal(6)
-        theta_mom = theta_plain.copy()
-        kern = OptimizerKernel(kind="momentum", momentum=0.0)
-        for _ in range(25):
-            g = GradientSample(gen.standard_normal(6))
-            theta_plain = sgd_step(theta_plain, g, 0.05)
-            theta_mom = sgd_step(theta_mom, g, 0.05, kern)
-        assert np.array_equal(theta_plain, theta_mom)
+        sgd_steps(features, targets, "linear", split, 1e-2, 300, gen, products=split_sum)
+        sgd_steps(features, targets, "linear", split, 1e-2, 1700, gen, products=split_sum)
+        assert np.array_equal(whole, split)
+        assert whole_sum.total == split_sum.total
+
+    def test_consecutive_gradient_products(self):
+        # Literal sum of <g_t, g_(t-1)> over a short run, replayed by hand.
+        features, targets = _data(10)
+        theta, products = np.zeros(3), GradientProducts()
+        sgd_steps(features, targets, "linear", theta, 1e-2, 6, RngStream(11).generator(),
+                  products=products)
+        replay, grads = np.zeros(3), []
+        for i in RngStream(11).generator().integers(0, 7, size=6):
+            g = (np.dot(features[i], replay) - targets[i]) * features[i]
+            grads.append(g)
+            replay -= 1e-2 * g
+        expected = sum(float(np.dot(a, b)) for a, b in zip(grads[1:], grads))
+        assert products.total == pytest.approx(expected, rel=1e-12)
+
+    def test_per_step_rates(self):
+        features, targets = _data(12)
+        rates = np.array([0.3, 0.0, 0.1])
+        stepped = np.ones(3)
+        sgd_steps(features, targets, "linear", stepped, rates, 3, RngStream(13).generator())
+        replay = np.ones(3)
+        for eta, i in zip(rates, RngStream(13).generator().integers(0, 7, size=3)):
+            replay -= (eta * (np.dot(features[i], replay) - targets[i])) * features[i]
+        assert np.array_equal(stepped, replay)
 
     def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
-            sgd_step(_vec(0.0), GradientSample(_vec(1.0)), -1e-9)
+        check_step_size(0.0)
+        for bad in (-1e-9, math.nan):
+            with pytest.raises(ValueError):
+                check_step_size(bad)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            sgd_step(_vec(1.0, 2.0), GradientSample(_vec(1.0)), 0.1)
+            sgd_steps(np.ones((2, 2)), np.ones(2), "linear", _vec(1.0), 0.1, 1,
+                      RngStream(0).generator())
 
     def test_non_finite_gradient_raises_with_step_index(self):
+        features, targets = _data(14, d=2)
         with pytest.raises(NumericError) as excinfo:
-            sgd_step(_vec(1.0), GradientSample(_vec(np.nan)), 0.1, step=17)
+            sgd_steps(features, targets, "linear", _vec(np.nan, 0.0), 0.1, 5,
+                      RngStream(0).generator(), first_step=17)
+        assert isinstance(excinfo.value, DivergenceError)
         assert excinfo.value.step == 17
 
     def test_overflow_to_non_finite_iterate_raises_divergence(self):
-        theta = _vec(1e308)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-            sgd_step(theta, GradientSample(_vec(-1e308)), 10.0, step=3)
-
-
-class TestKernel:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizerKernel(kind="nesterov")
-
-    def test_momentum_coefficient_range(self):
-        with pytest.raises(ValueError):
-            OptimizerKernel(kind="momentum", momentum=1.0)
-        with pytest.raises(ValueError):
-            OptimizerKernel(kind="momentum", momentum=-0.1)
-
-    def test_fresh_resets_velocity(self):
-        kern = OptimizerKernel(kind="momentum", momentum=0.9)
-        sgd_step(_vec(0.0), GradientSample(_vec(1.0)), 1.0, kern)
-        assert kern.velocity is not None
-        assert kern.fresh().velocity is None
-
-
-class TestDot:
-    def test_examples(self):
-        assert dot(_vec(1, 2, 3), _vec(4, 5, 6)) == 32.0
-        assert dot(_vec(3, 4), _vec(3, 4)) == 25.0
-        assert dot(_vec(1, 0), _vec(0, 1)) == 0.0
-
-    def test_symmetry(self):
-        gen = RngStream(3).generator()
-        a, b = gen.standard_normal(10), gen.standard_normal(10)
-        assert dot(a, b) == dot(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot(_vec(1.0), _vec(1.0, 2.0))
+        # The first residual (1e308) is finite, but the update overflows the
+        # iterate, so the second draw's residual is not: step 1 raises.
+        with pytest.raises(DivergenceError) as excinfo:
+            sgd_steps(np.array([[1e154]]), _vec(0.0), "linear", _vec(1e154), 10.0, 3,
+                      RngStream(0).generator())
+        assert excinfo.value.step == 1
 
 
 class TestRngStream:
@@ -145,9 +164,6 @@ class TestRngStream:
         before = parent.generator().random(50)
         parent.fork(999)
         assert np.array_equal(parent.generator().random(50), before)
-
-    def test_functional_alias(self):
-        assert fork_stream(RngStream(7), 4) == RngStream(7).fork(4)
 
     def test_nested_forks_distinct(self):
         root = RngStream(0)

@@ -1,26 +1,27 @@
 """Two-thread coherence diagnostic: decision rule, budgets, symmetry."""
 
 import itertools
-import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsgd.core import DivergenceError, GradientSample, OptimizerKernel, RngStream
+import splitsgd.diagnostic as diagnostic
+from splitsgd.core import DivergenceError, RngStream
 from splitsgd.diagnostic import (
     DiagnosticConfig,
+    _run_thread,
     _two_thread_window_means,
     decide,
-    gradient_coherence_trace,
     run_diagnostic,
 )
 from splitsgd.objectives import (
+    Dataset,
+    Problem,
+    ProblemSpec,
     full_gradient,
-    make_default_spec,
-    make_oracle,
-    noiseless_oracle,
     perturbed_start,
     reversed_start,
 )
@@ -100,151 +101,113 @@ class TestDecide:
         assert scaled[1] == base[1]
 
 
-def _counting_oracle(inner):
-    calls = {"n": 0}
-
-    def oracle(theta, gen):
-        calls["n"] += 1
-        return inner(theta, gen)
-
-    return oracle, calls
+def _one_row_problem(x, y):
+    """Noiseless problem: every draw returns the one datum, so each sampled
+    gradient is the full gradient and both threads are identical."""
+    x = np.asarray(x, dtype=np.float64)
+    spec = ProblemSpec(
+        family="linear", n=1, d=x.size, theta_star=np.zeros(x.size), noise_sd=0.0,
+        data_seed=RngStream(0),
+    )
+    return Problem(spec=spec, dataset=Dataset(features=x[None, :], targets=np.array([y])))
 
 
 class TestRunDiagnostic:
-    def test_consumes_exactly_two_w_l_samples(self, small_linear_problem):
-        oracle, calls = _counting_oracle(
-            make_oracle(small_linear_problem.dataset, "linear")
-        )
+    def test_consumes_exactly_two_w_l_samples(self, small_linear_problem, monkeypatch):
+        steps = []
+        kernel = diagnostic.sgd_steps
+
+        def counting(*args, **kwargs):
+            steps.append(args[5])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostic, "sgd_steps", counting)
         cfg = DiagnosticConfig(eta=1e-3, w=3, l=7, q=0.4)
-        run_diagnostic(oracle, np.zeros(4), cfg, rng=RngStream(1))
-        assert calls["n"] == 2 * 3 * 7
+        run_diagnostic(small_linear_problem, np.zeros(4), cfg, rng=RngStream(1))
+        assert sum(steps) == 2 * 3 * 7
 
     def test_result_shapes_and_midpoint(self, small_linear_problem):
-        oracle = make_oracle(small_linear_problem.dataset, "linear")
         cfg = DiagnosticConfig(eta=1e-3, w=4, l=5, q=0.4)
-        result = run_diagnostic(oracle, np.ones(4), cfg, rng=RngStream(2))
+        result = run_diagnostic(small_linear_problem, np.ones(4), cfg, rng=RngStream(2))
         assert result.coherences.shape == (4,)
         means_1, means_2, theta_1, theta_2 = _two_thread_window_means(
-            oracle, np.ones(4), cfg, None, RngStream(2)
+            small_linear_problem, np.ones(4), cfg, RngStream(2)
         )
         assert np.array_equal(result.theta_d, (theta_1 + theta_2) / 2.0)
         expected_q = [float(np.dot(means_1[i], means_2[i])) for i in range(4)]
         assert np.array_equal(result.coherences, np.array(expected_q))
 
     def test_thread_exchange_symmetry(self, small_linear_problem):
-        oracle = make_oracle(small_linear_problem.dataset, "linear")
+        # A thread depends only on its own stream: running thread 2 first on
+        # thread 1's stream and vice versa reproduces both threads exactly ...
         cfg = DiagnosticConfig(eta=1e-3, w=4, l=5, q=0.4)
-        regular = _two_thread_window_means(oracle, np.ones(4), cfg, None, RngStream(6))
-        swapped = _two_thread_window_means(
-            oracle, np.ones(4), cfg, None, RngStream(6), swap_threads=True
-        )
-        # Thread roles swap, so the pairing reverses ...
-        assert np.array_equal(regular[0], swapped[1])
-        assert np.array_equal(regular[1], swapped[0])
-        # ... leaving every coherence and the midpoint invariant.
+        regular = _two_thread_window_means(small_linear_problem, np.ones(4), cfg, RngStream(6))
+        second = _run_thread(small_linear_problem, np.ones(4), cfg, RngStream(6).fork(2).generator(), 2)
+        first = _run_thread(small_linear_problem, np.ones(4), cfg, RngStream(6).fork(1).generator(), 1)
+        assert np.array_equal(regular[0], first[0]) and np.array_equal(regular[2], first[1])
+        assert np.array_equal(regular[1], second[0]) and np.array_equal(regular[3], second[1])
+        # ... and exchanging the roles leaves every coherence and the midpoint
+        # invariant.
         q_regular = [float(np.dot(regular[0][i], regular[1][i])) for i in range(4)]
-        q_swapped = [float(np.dot(swapped[0][i], swapped[1][i])) for i in range(4)]
+        q_swapped = [float(np.dot(second[0][i], first[0][i])) for i in range(4)]
         assert q_regular == q_swapped
-        assert np.array_equal((regular[2] + regular[3]) / 2, (swapped[2] + swapped[3]) / 2)
+        assert np.array_equal((regular[2] + regular[3]) / 2, (second[1] + first[1]) / 2)
 
-    def test_noiseless_oracle_never_stationary(self, small_linear_problem):
-        oracle = noiseless_oracle(small_linear_problem.dataset, "linear")
+    def test_noiseless_oracle_never_stationary(self):
+        problem = _one_row_problem([1.0, 2.0, 0.5, -1.0], 3.0)
         cfg = DiagnosticConfig(eta=1e-2, w=5, l=4, q=0.25)
-        result = run_diagnostic(oracle, np.ones(4), cfg, rng=RngStream(3))
+        result = run_diagnostic(problem, np.ones(4), cfg, rng=RngStream(3))
         assert np.all(result.coherences >= 0.0)
         assert result.negative_count == 0.0
         assert result.stationary is False
 
-    def test_frozen_iterates_give_squared_gradient_norm(self, small_linear_problem):
-        ds = small_linear_problem.dataset
-        oracle = noiseless_oracle(ds, "linear")
+    def test_frozen_iterates_give_squared_gradient_norm(self):
+        problem = _one_row_problem([1.0, 2.0, 0.5, -1.0], 3.0)
         theta_in = np.ones(4)
         cfg = DiagnosticConfig(eta=0.0, w=3, l=2, q=0.4)
-        result = run_diagnostic(oracle, theta_in, cfg, rng=RngStream(4))
-        g = full_gradient(ds, "linear", theta_in)
+        result = run_diagnostic(problem, theta_in, cfg, rng=RngStream(4))
+        g = full_gradient(problem.dataset, "linear", theta_in)
         expected = float(np.dot(g, g))
         assert np.allclose(result.coherences, expected, rtol=1e-12)
         assert result.stationary is False
         assert np.array_equal(result.theta_d, theta_in)
 
-    def test_momentum_kernel_supported(self, small_linear_problem):
-        oracle = make_oracle(small_linear_problem.dataset, "linear")
-        cfg = DiagnosticConfig(eta=1e-3, w=2, l=5, q=0.4)
-        kernel = OptimizerKernel(kind="momentum", momentum=0.9)
-        result = run_diagnostic(oracle, np.ones(4), cfg, kernel, RngStream(5))
-        assert np.isfinite(result.coherences).all()
-        # The caller's kernel must stay untouched (threads use fresh copies).
-        assert kernel.velocity is None
-
-    def test_divergence_carries_thread_and_step(self):
-        def exploding(theta, gen):
-            return GradientSample(np.full(2, 1e308))
-
-        cfg = DiagnosticConfig(eta=1.0, w=2, l=3, q=0.4)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as excinfo:
-            run_diagnostic(exploding, np.zeros(2), cfg, rng=RngStream(0))
+    def test_divergence_carries_thread_and_step(self, linear_problem):
+        cfg = DiagnosticConfig(eta=1.0, w=20, l=50, q=0.4)
+        theta_in = reversed_start(linear_problem.spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as excinfo:
+                run_diagnostic(linear_problem, theta_in, cfg, rng=RngStream(0))
         assert excinfo.value.thread in (1, 2)
-        assert excinfo.value.step is not None
+        assert 0 <= excinfo.value.step < cfg.w * cfg.l
 
-    def test_scaling_gradients_scales_coherences_quadratically(self):
-        # A state-independent oracle makes trajectories irrelevant: scaling
-        # every sample by c multiplies each window mean by c, hence each
-        # coherence by c*c, and the verdict must not move.
-        def noise_oracle(scale):
-            def oracle(theta, gen):
-                return GradientSample(scale * gen.standard_normal(3))
+    def test_overflow_on_last_step_is_divergence(self):
+        # The only step's residual (1e308) is finite but overflows the
+        # iterate; the thread-end check still reports it.
+        problem = _one_row_problem([1e154], 0.0)
+        cfg = DiagnosticConfig(eta=10.0, w=1, l=1, q=0.4)
+        with pytest.raises(DivergenceError) as excinfo:
+            run_diagnostic(problem, np.array([1e154]), cfg, rng=RngStream(0))
+        assert (excinfo.value.thread, excinfo.value.step) == (1, 0)
 
-            return oracle
-
+    def test_scaling_gradients_scales_coherences_quadratically(self, small_linear_problem):
+        # From theta_in = 0, scaling the linear targets by 4 (a power of two,
+        # so every rounding scales exactly) scales every residual, iterate
+        # and window mean by 4, hence each coherence by 16, and the verdict
+        # must not move.
+        ds = small_linear_problem.dataset
+        scaled_problem = Problem(
+            spec=small_linear_problem.spec,
+            dataset=Dataset(features=ds.features, targets=4.0 * ds.targets),
+        )
         cfg = DiagnosticConfig(eta=1e-2, w=6, l=10, q=0.4)
-        base = run_diagnostic(noise_oracle(1.0), np.zeros(3), cfg, rng=RngStream(8))
-        scaled = run_diagnostic(noise_oracle(7.5), np.zeros(3), cfg, rng=RngStream(8))
-        assert np.allclose(scaled.coherences, 7.5**2 * base.coherences, rtol=1e-12)
+        base = run_diagnostic(small_linear_problem, np.zeros(4), cfg, rng=RngStream(8))
+        scaled = run_diagnostic(scaled_problem, np.zeros(4), cfg, rng=RngStream(8))
+        assert np.array_equal(scaled.coherences, 16.0 * base.coherences)
+        assert np.array_equal(scaled.theta_d, 4.0 * base.theta_d)
         assert scaled.stationary == base.stationary
         assert scaled.negative_count == base.negative_count
-
-
-class TestCoherenceTrace:
-    def test_values_bounded_and_equal_one_for_identical_threads(self, small_linear_problem):
-        # The noiseless oracle makes both threads identical, so every
-        # normalized coherence is the cosine of a vector with itself.
-        oracle = noiseless_oracle(small_linear_problem.dataset, "linear")
-        cfg = DiagnosticConfig(eta=1e-2, w=5, l=4, q=0.4)
-        trace = gradient_coherence_trace(oracle, np.ones(4), cfg, rng=RngStream(3))
-        assert np.allclose(trace, 1.0, atol=1e-12)
-
-    def test_noisy_traces_stay_in_unit_interval(self, small_linear_problem):
-        oracle = make_oracle(small_linear_problem.dataset, "linear")
-        cfg = DiagnosticConfig(eta=1e-2, w=10, l=3, q=0.4)
-        for seed in range(5):
-            trace = gradient_coherence_trace(oracle, np.ones(4), cfg, rng=RngStream(seed))
-            assert np.all(trace >= -1.0)
-            assert np.all(trace <= 1.0)
-
-    def test_opposite_window_means_give_minus_one(self):
-        # Constant oracle whose sign flips between the two threads (the
-        # first w*l calls serve thread one, the next w*l thread two): window
-        # means come out as +g and -g, so every normalized coherence is the
-        # cosine of opposite vectors.  eta = 0 keeps the iterates frozen.
-        g = np.array([2.0, -1.0, 0.5])
-        cfg = DiagnosticConfig(eta=0.0, w=3, l=2, q=0.4)
-        calls = iter(range(2 * cfg.w * cfg.l))
-
-        def oracle(theta, gen):
-            sign = 1.0 if next(calls) < cfg.w * cfg.l else -1.0
-            return GradientSample(sign * g)
-
-        trace = gradient_coherence_trace(oracle, np.zeros(3), cfg, rng=RngStream(0))
-        assert np.allclose(trace, -1.0, atol=1e-15)
-        assert np.all(trace >= -1.0)
-
-    def test_vanishing_mean_reports_zero(self):
-        def zero_oracle(theta, gen):
-            return GradientSample(np.zeros(2))
-
-        cfg = DiagnosticConfig(eta=1e-2, w=3, l=2, q=0.4)
-        trace = gradient_coherence_trace(zero_oracle, np.zeros(2), cfg, rng=RngStream(0))
-        assert np.array_equal(trace, np.zeros(3))
 
 
 class TestNearOptimumRegime:
@@ -253,7 +216,6 @@ class TestNearOptimumRegime:
         # sd 0.316, a calibrated displacement that keeps trend signal
         # dominant), the mean fraction of negative coherences per diagnostic
         # stays under 5% across replications.
-        oracle = make_oracle(linear_problem.dataset, "linear")
         cfg = DiagnosticConfig(eta=1e-4, w=20, l=50, q=0.4)
         root = RngStream(0).fork(0xD1A6)
         fractions = []
@@ -262,15 +224,14 @@ class TestNearOptimumRegime:
             theta0 = perturbed_start(
                 linear_problem.spec.theta_star, stream.fork(0), noise_sd=0.316
             )
-            result = run_diagnostic(oracle, theta0, cfg, rng=stream.fork(1))
+            result = run_diagnostic(linear_problem, theta0, cfg, rng=stream.fork(1))
             fractions.append(result.negative_count / cfg.w)
         assert float(np.mean(fractions)) < 0.05
 
     def test_far_start_all_windows_positive(self, linear_problem):
-        oracle = make_oracle(linear_problem.dataset, "linear")
         cfg = DiagnosticConfig(eta=1e-4, w=20, l=50, q=0.4)
         result = run_diagnostic(
-            oracle, reversed_start(linear_problem.spec), cfg, rng=RngStream(7)
+            linear_problem, reversed_start(linear_problem.spec), cfg, rng=RngStream(7)
         )
         assert result.negative_count == 0.0
         assert result.stationary is False

@@ -1,4 +1,4 @@
-"""Benchmark problems: data generation, oracles, and full loss/gradient."""
+"""Benchmark problems: data generation, per-datum and full loss/gradient."""
 
 import math
 
@@ -16,12 +16,10 @@ from splitsgd.objectives import (
     generate,
     gradient_at_index,
     make_default_spec,
-    noiseless_oracle,
     perturbed_start,
     read_dataset_csv,
     reversed_start,
     sigmoid,
-    stochastic_gradient,
     write_dataset_csv,
 )
 
@@ -95,19 +93,14 @@ class TestStochasticGradient:
         x = np.array([[1.0, 2.0]])
         theta = np.array([3.0, 4.0])
         ds = Dataset(features=x, targets=np.array([float(np.dot(x[0], theta))]))
-        sample = stochastic_gradient(ds, "linear", theta, RngStream(0).generator())
-        assert np.array_equal(sample.gradient, np.zeros(2))
-        assert sample.loss_value == 0.0
+        assert np.array_equal(gradient_at_index(ds, "linear", theta, 0), np.zeros(2))
+        assert full_loss(ds, "linear", theta) == 0.0
 
     def test_logistic_at_zero_parameters(self, small_logistic_problem):
         ds = small_logistic_problem.dataset
-        theta = np.zeros(4)
-        gen = RngStream(5).generator()
-        probe = RngStream(5).generator()
-        i = int(probe.integers(0, ds.features.shape[0]))
-        sample = stochastic_gradient(ds, "logistic", theta, gen)
-        expected = (0.5 - ds.targets[i]) * ds.features[i]
-        assert np.array_equal(sample.gradient, expected)
+        for i in range(ds.features.shape[0]):
+            expected = (0.5 - ds.targets[i]) * ds.features[i]
+            assert np.array_equal(gradient_at_index(ds, "logistic", np.zeros(4), i), expected)
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_enumeration_mean_equals_full_gradient(self, family, linear_problem, logistic_problem):
@@ -157,12 +150,15 @@ class TestFullLossAndGradient:
         theta = np.full(20, 1e200)
         assert full_loss(linear_problem.dataset, "linear", theta) == math.inf
 
-    def test_noiseless_oracle_returns_full_gradient(self, small_linear_problem):
-        ds = small_linear_problem.dataset
-        oracle = noiseless_oracle(ds, "linear")
-        theta = np.ones(4)
-        sample = oracle(theta, RngStream(0).generator())
-        assert np.array_equal(sample.gradient, full_gradient(ds, "linear", theta))
+    def test_noiseless_oracle_returns_full_gradient(self):
+        # A one-row dataset is the noiseless oracle of the diagnostic and
+        # histogram tests: its only per-datum gradient is the full gradient.
+        ds = Dataset(features=np.array([[1.0, 2.0, 0.5, -1.0]]), targets=np.array([1.0]))
+        theta = np.array([0.3, -0.2, 1.5, 0.7])
+        for family in ("linear", "logistic"):
+            assert np.array_equal(
+                gradient_at_index(ds, family, theta, 0), full_gradient(ds, family, theta)
+            )
 
 
 class TestStartingPoints:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from splitsgd.core import DivergenceError, OptimizerKernel, RngStream
+from splitsgd.core import DivergenceError, RngStream
 from splitsgd.objectives import (
     Dataset,
     Problem,
@@ -153,14 +153,6 @@ class TestSplitSgd:
         second = run_splitsgd(linear_problem, cfg, theta0, RngStream(4), 8)
         assert first.records == second.records
         assert np.array_equal(first.final_theta, second.final_theta)
-
-    def test_momentum_kernel_runs(self, small_linear_problem):
-        cfg = SplitSgdConfig(
-            eta=1e-3, w=2, l=5, q=0.4, t1=30,
-            kernel=OptimizerKernel(kind="momentum", momentum=0.9),
-        )
-        trace = run_splitsgd(small_linear_problem, cfg, np.zeros(4), RngStream(5), 5)
-        assert math.isfinite(trace.records[-1].full_loss)
 
     def test_divergence_propagates(self, linear_problem):
         cfg = SplitSgdConfig(eta=10.0, t1=1000)
