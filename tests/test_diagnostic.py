@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitsgd.diagnostic as diagnostic
+from splitsgd.analysis import CoherenceStudy, coherence_histogram
 from splitsgd.core import DivergenceError, RngStream
 from splitsgd.diagnostic import (
     DiagnosticConfig,
@@ -208,6 +209,31 @@ class TestRunDiagnostic:
         assert np.array_equal(scaled.theta_d, 4.0 * base.theta_d)
         assert scaled.stationary == base.stationary
         assert scaled.negative_count == base.negative_count
+
+
+class TestCoherenceTrace:
+    def test_noisy_traces_stay_in_unit_interval(self, small_linear_problem):
+        # One stream for every window index replays the same five noisy
+        # two-thread splits, so the rows walk each split's normalized trace
+        # window by window.
+        traces = []
+        for window_index in range(1, 11):
+            study = CoherenceStudy(
+                problem=small_linear_problem,
+                eta=1e-2,
+                replications=5,
+                window_index=window_index,
+                windows=10,
+                l=3,
+                normalized=True,
+            )
+            rows, summary = coherence_histogram(study, RngStream(0))
+            assert summary.kept == 5
+            traces.append([value for _, value in rows])
+        trace = np.array(traces)
+        assert np.all(trace >= -1.0)
+        assert np.all(trace <= 1.0)
+        assert np.unique(trace).size > 1
 
 
 class TestNearOptimumRegime:
