@@ -1,0 +1,179 @@
+"""Before/after benchmark of two splitsgd source trees on one machine.
+
+    python3 bench/run.py --before OLD/src --after src --pairs 10 --out BENCH_N.json
+
+Run from the root of a checkout.  For each tree it records:
+
+* layer rows, timed in a fresh interpreter with that tree on ``PYTHONPATH``:
+  µs per diagnostic gradient eval (one ``run_diagnostic`` at w = 20,
+  l = 50, and the diagnostic threads of a 40-replication ``mc``
+  histogram with no burn-in), and ns per burn-in replication-step
+  (``analysis._lockstep_burn_in`` at R = 250), each the median of
+  ``--repeats`` timings;
+* end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
+  ``compare`` and ``mc-stationary`` benchmark commands, measured by
+  ``perfbench/child.py`` exactly as the benchmark measures them; the two
+  trees alternate execution by execution, ``--pairs`` times each, the
+  first tree to run switching from pair to pair; each side reports its
+  median and quartiles;
+* the SHA-256 of every CSV and sidecar those commands write (seed 0).
+
+Set-up runs single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
+``PYTHONHASHSEED=0``, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
+
+# The benchmark's workload arguments (perfbench/run.py), seed 0.
+COMMANDS = {
+    "compare": [
+        "compare", "--threads", "1", "--problem", "linear", "--start", "reversed",
+        "--methods", "splitsgd,const,sqrt,half", "--etas", "1e-5,1e-4,1e-3,1e-2,1e-1,1",
+        "--epochs", "10", "--seeds", "1",
+    ],
+    "mc-stationary": [
+        "mc", "--problem", "linear", "--eta", "1e-2", "--burn-in-epochs", "60",
+        "--reps", "250", "--window-index", "2", "--raw",
+    ],
+}
+
+LAYERS = r"""
+import json, statistics, sys, time
+import numpy as np
+from splitsgd.analysis import CoherenceStudy, _lockstep_burn_in, coherence_histogram
+from splitsgd.core import RngStream
+from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
+from splitsgd.objectives import build_problem, make_default_spec, reversed_start
+
+repeats = int(sys.argv[1])
+spec = make_default_spec("linear", RngStream(0))
+problem = build_problem(spec)
+ds = problem.dataset
+
+def median_time(fn):
+    times = []
+    for k in range(repeats):
+        t = time.perf_counter()
+        fn(k)
+        times.append(time.perf_counter() - t)
+    return statistics.median(times)
+
+cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)
+start = reversed_start(spec)
+one = median_time(lambda k: run_diagnostic(problem, start, cfg, RngStream(k)))
+study = CoherenceStudy(problem=problem, eta=1e-2, window_index=2, windows=20, replications=40)
+many = median_time(lambda k: coherence_histogram(study, RngStream(k)))
+R, steps = 250, 2000
+def burn(k):
+    thetas = np.tile(start, (R, 1))
+    gens = [RngStream(k).fork(r).generator() for r in range(R)]
+    _lockstep_burn_in(ds.features, ds.targets, "linear", thetas, 1e-2, steps, gens)
+burn_s = median_time(burn)
+print(json.dumps({
+    "diagnostic_us_per_eval": 1e6 * one / (2 * cfg.w * cfg.l),
+    "mc_diagnostic_us_per_eval": 1e6 * many / (2 * 40 * 20 * 50),
+    "burn_in_ns_per_rep_step": 1e9 * burn_s / (R * steps),
+}))
+"""
+
+
+def _env(src: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def layers(src: Path, repeats: int) -> dict[str, float]:
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYERS, str(repeats)], env=_env(src),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def execute(src: Path, argv: list[str], work: Path) -> tuple[dict, dict[str, str]]:
+    """One benchmark execution; returns its metrics and artifact digests."""
+    work.mkdir()
+    spawned = time.monotonic()
+    spec = {"argv": [*argv, "--seed", "0", "--out", "out.csv"], "seed": 0,
+            "trace": False, "run_id": "bench", "spawned": spawned}
+    (work / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    subprocess.run([sys.executable, str(CHILD), "spec.json", "result.json"],
+                   cwd=work, env=_env(src), check=True, capture_output=True)
+    result = json.loads((work / "result.json").read_text(encoding="utf-8"))
+    metrics = {k: result[k] for k in ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")}
+    digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+               for name in ("out.csv", "out.csv.meta")}
+    return metrics, digests
+
+
+def _spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--repeats", type=int, default=25)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+
+    report = {
+        "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
+                    "python": platform.python_version()},
+        "pairs": args.pairs,
+        "layers": {side: layers(src, args.repeats) for side, src in sides.items()},
+        "end_to_end": {},
+        "artifacts": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        count = 0
+        for name, command in COMMANDS.items():
+            samples = {side: [] for side in sides}
+            for pair in range(args.pairs):
+                order = list(sides.items())
+                for side, src in order[::-1] if pair % 2 else order:
+                    count += 1
+                    metrics, digests = execute(src, command, Path(tmp) / str(count))
+                    samples[side].append(metrics)
+                    seen = report["artifacts"].setdefault(name, {}).setdefault(side, digests)
+                    if seen != digests:
+                        raise SystemExit(f"{name} ({side}) wrote different bytes on a rerun")
+            report["end_to_end"][name] = {
+                side: {key: _spread([m[key] for m in runs]) for key in runs[0]}
+                for side, runs in samples.items()
+            }
+            after_faster = sum(
+                a["wall_s"] < b["wall_s"] for a, b in zip(samples["after"], samples["before"])
+            )
+            report["end_to_end"][name]["pairs_after_faster_wall_s"] = after_faster
+    report["artifacts_identical"] = all(
+        sides_["before"] == sides_["after"] for sides_ in report["artifacts"].values()
+    )
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(report["layers"]), json.dumps(report["end_to_end"]), sep="\n")
+    return 0 if report["artifacts_identical"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

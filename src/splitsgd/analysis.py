@@ -79,6 +79,8 @@ class CoherenceStudy:
             raise ValueError("windows must cover window_index")
         if self.start not in START_KINDS:
             raise ValueError(f"start must be one of {START_KINDS}")
+        if not self.start_noise_sd >= 0.0:
+            raise ValueError(f"start_noise_sd must be >= 0, got {self.start_noise_sd}")
 
 
 @dataclass(frozen=True)
@@ -111,19 +113,19 @@ def _lockstep_burn_in(
     n = features.shape[0]
     n_rep = thetas.shape[0]
     linear = family == "linear"
-    idx = np.empty((n_rep, chunk), dtype=np.int64)
+    idx = np.empty((chunk, n_rep), dtype=np.int64)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < steps:
             k = min(chunk, steps - done)
             for r, gen in enumerate(gens):
-                idx[r, :k] = gen.integers(0, n, size=k)
-            for j in range(k):
-                rows = idx[:, j]
-                xb = features[rows]
+                idx[:k, r] = gen.integers(0, n, size=k)
+            for rows in idx[:k]:
+                xb = features.take(rows, axis=0)
                 z = np.einsum("rd,rd->r", xb, thetas)
-                resid = (z if linear else sigmoid(z)) - targets[rows]
-                thetas -= eta * resid[:, None] * xb
+                resid = (z if linear else sigmoid(z)) - targets.take(rows)
+                xb *= (eta * resid)[:, None]
+                thetas -= xb
             done += k
     return np.isfinite(thetas).all(axis=1)
 
@@ -165,27 +167,24 @@ def coherence_histogram(
         [stream.fork(_CHILD_BURN_IN).generator() for stream in rep_streams],
     )
 
-    rows: list[tuple[int, float]] = []
-    diverged = int(n_rep - finite.sum())
-    i = study.window_index - 1
-    for r in range(n_rep):
-        if not finite[r]:
-            continue
-        try:
-            means_1, means_2, _, _ = _two_thread_window_means(
-                problem, thetas[r], diag_cfg, rep_streams[r].fork(_CHILD_DIAGNOSTIC)
-            )
-        except DivergenceError:
-            diverged += 1
-            continue
-        value = float(np.dot(means_1[i], means_2[i]))
-        if study.normalized:
-            norm = float(np.linalg.norm(means_1[i])) * float(np.linalg.norm(means_2[i]))
-            # Rounding can push the quotient past +/-1 by an ulp.
-            value = min(1.0, max(-1.0, value / norm)) if norm > 0.0 else 0.0
-        rows.append((r, value))
+    kept_reps = np.flatnonzero(finite)
+    means, _, failed = _two_thread_window_means(
+        problem,
+        thetas[kept_reps],
+        diag_cfg,
+        [rep_streams[r].fork(_CHILD_DIAGNOSTIC) for r in kept_reps],
+    )
+    ok = (failed < 0).all(axis=0)
+    diverged = int(n_rep - ok.sum())
+    means_1, means_2 = means[study.window_index - 1][:, ok]
+    values = np.vecdot(means_1, means_2)
+    if study.normalized:
+        norms = np.sqrt(np.vecdot(means_1, means_1)) * np.sqrt(np.vecdot(means_2, means_2))
+        # Rounding can push the quotient past +/-1 by an ulp.
+        values = np.divide(values, norms, out=np.zeros_like(values), where=norms > 0.0)
+        np.clip(values, -1.0, 1.0, out=values)
+    rows = list(zip(kept_reps[ok].tolist(), values.tolist()))
 
-    values = np.array([v for _, v in rows], dtype=np.float64)
     kept = len(rows)
     if kept:
         mean = float(values.mean())

@@ -218,7 +218,7 @@ def _compare_cell(payload):
 @click.option("--problem", "family", type=click.Choice(["linear", "logistic"]), default="linear", show_default=True)
 @click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,1e-3,1e-2,1e-1", show_default=True, help="Comma-separated initial step sizes.")
 @click.option("--epochs", type=int, default=100, show_default=True)
-@click.option("--seeds", type=int, default=20, show_default=True, help="Number of replication seeds per cell.")
+@click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True, help="Number of replication seeds per cell.")
 @click.option("--methods", callback=_parse_methods, default="splitsgd,const,sqrt,half", show_default=True)
 @click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
 @click.option("--t1-epochs", type=int, default=4, show_default=True)
@@ -275,7 +275,7 @@ def _race_rep(payload):
 @click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
 @click.option("--eta-scale", type=click.Choice(sorted(ETA_SCALES)), default="large", show_default=True)
 @click.option("--eta", type=float, default=None, help="Explicit step size (overrides --eta-scale).")
-@click.option("--reps", type=int, default=100, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--max-epochs", type=int, default=1000, show_default=True)
 @click.option("--t1-epochs", type=int, default=4, show_default=True)
 @click.option("--w", type=int, default=20, show_default=True)
@@ -400,7 +400,7 @@ def _sensitivity_cell(payload):
 @click.option("--w-values", callback=_parse_ints, default="10,20,40", show_default=True)
 @click.option("--q-values", callback=_parse_floats, default="0.35,0.4,0.45", show_default=True)
 @click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,1e-3,1e-2,1e-1", show_default=True)
-@click.option("--seeds", type=int, default=5, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--epochs", type=int, default=100, show_default=True)
 @click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
 @click.option("--t1-epochs", type=int, default=4, show_default=True)

@@ -2,10 +2,12 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays; this module adds
 their validation helpers, the seeded/forkable random-stream handle, the
-error types, and the single per-sample SGD loop (:func:`sgd_steps`) that
-every single-iterate optimizer path runs on: the constant-rate,
-``1/sqrt(t)`` and halving drivers, SplitSGD's threads, the two diagnostic
-threads and the pflug detector.
+error types and the two SGD loops.  :func:`sgd_steps` steps one iterate
+per sample and runs every single-iterate optimizer path: the
+constant-rate, ``1/sqrt(t)`` and halving drivers, SplitSGD's main thread
+and the pflug detector.  :func:`lockstep_windows` steps R iterates side
+by side, each on its own stream, and runs every two-thread diagnostic;
+each of its rows is bit-identical to the same row stepped alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "RngStream",
     "as_param_vector",
     "check_step_size",
+    "lockstep_windows",
     "sgd_steps",
 ]
 
@@ -147,7 +150,6 @@ def sgd_steps(
     gen: np.random.Generator,
     *,
     first_step: int = 0,
-    window: np.ndarray | None = None,
     products: GradientProducts | None = None,
 ) -> None:
     """Run ``steps`` single-sample SGD updates of ``theta`` in place.
@@ -157,10 +159,7 @@ def sgd_steps(
     for the logistic family) and updates ``theta -= (eta * r) * x``.
     ``eta`` is one step size, or an array holding one per step.
 
-    ``window`` receives the sum of the sampled gradients ``g = r * x``; the
-    update then reuses g as ``theta -= eta * g``, which rounds differently
-    from the plain update.  ``products`` accumulates the inner products of
-    consecutive gradients.
+    ``products`` accumulates the inner products of consecutive gradients.
 
     Divergence policy: a non-finite residual raises DivergenceError whose
     ``step`` is ``first_step`` plus the index of the draw in this call.  An
@@ -185,11 +184,6 @@ def sgd_steps(
                 r = z - targets[i] if linear else _sigmoid_scalar(z) - targets[i]
                 if not math.isfinite(r):
                     raise DivergenceError("iterate diverged", step=first_step + done + j)
-                if window is not None:
-                    g = r * x
-                    window += g
-                    theta -= eta * g
-                    continue
                 if products is not None:
                     if prev_x is not None:
                         total += (r * prev_r) * x.dot(prev_x)
@@ -198,3 +192,78 @@ def sgd_steps(
             done += k
     if products is not None:
         products.total, products.prev_r, products.prev_x = total, prev_r, prev_x
+
+
+# A lockstep index buffer holds at most this many steps per row and this
+# many indices in all, so its memory stays small at any row count.
+_LOCKSTEP_STEPS = 512
+_LOCKSTEP_INDICES = 1 << 14
+
+
+def lockstep_windows(
+    features: np.ndarray,
+    targets: np.ndarray,
+    family: str,
+    thetas: np.ndarray,
+    eta: float,
+    windows: int,
+    l: int,
+    gens: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``windows * l`` single-sample SGD steps on every row of ``thetas``
+    in place, row r drawing its indices from ``gens[r]``.
+
+    Each step forms the residual r as :func:`sgd_steps` does and the
+    sampled gradient ``g = r * x``, adds g to the row's window sum and
+    updates ``theta -= eta * g`` (which rounds differently from the plain
+    ``(eta * r) * x``).  Returns ``(sums, failed)``: ``sums[i, r]`` is row
+    r's gradient sum over window i, and ``failed[r]`` the step of the row's
+    first non-finite residual, ``windows * l - 1`` if only its final
+    iterate is non-finite, or -1 if it stayed finite.  A failed row keeps
+    stepping until every row has failed; its sums and iterate are
+    meaningless.
+    """
+    n_rows, d = thetas.shape
+    if d != features.shape[1]:
+        raise DimensionError(f"parameter dimension {d} != data dimension {features.shape[1]}")
+    n = features.shape[0]
+    linear = family == "linear"
+    steps = windows * l
+    chunk = min(_LOCKSTEP_STEPS, steps, max(1, _LOCKSTEP_INDICES // max(n_rows, 1)))
+    idx = np.empty((chunk, n_rows), dtype=np.int64)
+    sums = np.zeros((windows, n_rows, d))
+    resid = np.empty((l, n_rows))
+    failed = np.full(n_rows, -1, dtype=np.int64)
+    c = chunk
+    # Overflow on a blown-up iterate is the divergence signal: it shows up
+    # as a non-finite residual, checked once per window.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(windows):
+            window = sums[i]
+            for j in range(l):
+                if c == chunk:
+                    k = min(chunk, steps - i * l - j)
+                    for row, gen in enumerate(gens):
+                        idx[:k, row] = gen.integers(0, n, size=k)
+                    c = 0
+                rows = idx[c]
+                c += 1
+                x = features.take(rows, axis=0)
+                z = np.vecdot(x, thetas)
+                if not linear:
+                    # math.exp, not np.exp: the two differ in the last bit.
+                    z = np.fromiter(map(_sigmoid_scalar, z.tolist()), np.float64, n_rows)
+                r = resid[j]
+                np.subtract(z, targets.take(rows), out=r)
+                x *= r[:, None]
+                window += x
+                x *= eta
+                thetas -= x
+            bad = ~np.isfinite(resid)
+            if bad.any():
+                new = bad.any(axis=0) & (failed < 0)
+                failed[new] = i * l + bad[:, new].argmax(axis=0)
+                if (failed >= 0).all():
+                    break
+    failed[(failed < 0) & ~np.isfinite(thetas).all(axis=1)] = steps - 1
+    return sums, failed

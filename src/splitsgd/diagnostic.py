@@ -1,14 +1,16 @@
 """Two-thread splitting diagnostic for stationarity of constant-rate SGD.
 
 From a common starting point, two SGD threads run on independent sample
-streams, on the same per-sample loop as the main thread
-(:func:`splitsgd.core.sgd_steps`).  Each thread's trajectory is cut into w
-windows of l steps and the sampled gradients are averaged per window; the
-inner products of paired window means ("gradient coherences") stay
-positive while both threads descend a shared trend and approach fair coin
-flips once the iterates bounce around a stationary distribution.  The
-decision rule counts negative coherences against a q*w threshold.  A
-thread that diverges raises DivergenceError naming the thread and step.
+streams, side by side as two rows of the lockstep loop
+(:func:`splitsgd.core.lockstep_windows`); the Monte-Carlo histogram runs
+the threads of all its replications as the rows of one such call.  Each
+thread's trajectory is cut into w windows of l steps and the sampled
+gradients are averaged per window; the inner products of paired window
+means ("gradient coherences") stay positive while both threads descend a
+shared trend and approach fair coin flips once the iterates bounce around
+a stationary distribution.  The decision rule counts negative coherences
+against a q*w threshold.  A diverging diagnostic raises DivergenceError
+naming the thread (thread 1 if it diverged, else thread 2) and its step.
 
 The sign balance is not immediate even at stationarity: both threads start
 from the same theta_in, so window i's mean gradient carries a conditional
@@ -26,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, RngStream, check_step_size, sgd_steps
+from .core import (
+    DivergenceError,
+    RngStream,
+    as_param_vector,
+    check_step_size,
+    lockstep_windows,
+)
 from .objectives import Problem
 
 __all__ = [
@@ -84,46 +92,34 @@ def decide(coherences, q: float) -> tuple[bool, float]:
     return negative_count >= q * values.size, negative_count
 
 
-def _run_thread(
-    problem: Problem,
-    theta_in: np.ndarray,
-    cfg: DiagnosticConfig,
-    gen: np.random.Generator,
-    thread_id: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One thread: w*l steps from theta_in, per-window gradient means."""
-    theta = np.array(theta_in, dtype=np.float64)
-    means = np.zeros((cfg.w, theta.shape[0]))
-    dataset = problem.dataset
-    try:
-        for i in range(cfg.w):
-            sgd_steps(
-                dataset.features, dataset.targets, problem.spec.family, theta, cfg.eta,
-                cfg.l, gen, first_step=i * cfg.l, window=means[i],
-            )
-        if not np.isfinite(theta).all():
-            raise DivergenceError("iterate diverged", step=cfg.w * cfg.l - 1)
-    except DivergenceError as err:
-        raise DivergenceError(
-            f"diagnostic thread {thread_id} diverged at step {err.step}",
-            step=err.step,
-            thread=thread_id,
-        ) from err
-    means /= cfg.l
-    return means, theta
-
-
 def _two_thread_window_means(
     problem: Problem,
-    theta_in: np.ndarray,
+    thetas_in: np.ndarray,
     cfg: DiagnosticConfig,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run both threads; thread k (1 or 2) draws from child stream k of ``rng``."""
-    (means_1, theta_1), (means_2, theta_2) = (
-        _run_thread(problem, theta_in, cfg, rng.fork(k).generator(), k) for k in (1, 2)
+    rngs: list[RngStream],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every row of ``thetas_in`` into two threads, all in lockstep.
+
+    Thread k (1 or 2) of row r draws from child stream k of ``rngs[r]``.
+    Returns ``(means, thetas, failed)`` indexed by thread 0/1 and row:
+    ``means[i, k, r]`` is the window-i gradient mean, ``thetas[k, r]`` the
+    final iterate and ``failed[k, r]`` the divergence step, -1 if none
+    (see :func:`splitsgd.core.lockstep_windows`).
+    """
+    n_rows, d = thetas_in.shape
+    thetas = np.concatenate([thetas_in, thetas_in], dtype=np.float64)
+    gens = [rng.fork(k).generator() for k in (1, 2) for rng in rngs]
+    dataset = problem.dataset
+    sums, failed = lockstep_windows(
+        dataset.features, dataset.targets, problem.spec.family, thetas, cfg.eta,
+        cfg.w, cfg.l, gens,
     )
-    return means_1, means_2, theta_1, theta_2
+    sums /= cfg.l
+    return (
+        sums.reshape(cfg.w, 2, n_rows, d),
+        thetas.reshape(2, n_rows, d),
+        failed.reshape(2, n_rows),
+    )
 
 
 def run_diagnostic(
@@ -135,12 +131,20 @@ def run_diagnostic(
     """Run the two-thread diagnostic from theta_in.
 
     Costs exactly 2*w*l gradient draws.  Each thread starts from theta_in
-    with its own child stream of ``rng``.
+    with its own child stream of ``rng``.  A divergence names thread 1 if
+    thread 1 diverged, else thread 2.
     """
-    means_1, means_2, theta_1, theta_2 = _two_thread_window_means(problem, theta_in, cfg, rng)
-    coherences = np.array([float(np.dot(m1, m2)) for m1, m2 in zip(means_1, means_2)])
+    theta_in = as_param_vector(theta_in, require_finite=False)
+    means, thetas, failed = _two_thread_window_means(problem, theta_in[None], cfg, [rng])
+    for k in (0, 1):
+        step = int(failed[k, 0])
+        if step >= 0:
+            raise DivergenceError(
+                f"diagnostic thread {k + 1} diverged at step {step}", step=step, thread=k + 1
+            )
+    coherences = np.vecdot(means[:, 0, 0], means[:, 1, 0])
     stationary, negative_count = decide(coherences, cfg.q)
-    theta_d = (theta_1 + theta_2) / 2.0
+    theta_d = (thetas[0, 0] + thetas[1, 0]) / 2.0
     return DiagnosticResult(
         theta_d=theta_d,
         stationary=stationary,

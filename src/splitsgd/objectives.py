@@ -69,8 +69,8 @@ class ProblemSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be >= 0")
+        if not self.noise_sd >= 0.0:
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         object.__setattr__(self, "theta_star", as_param_vector(self.theta_star))
         if self.theta_star.shape != (self.d,):
             raise ValueError(f"theta_star has shape {self.theta_star.shape}, expected ({self.d},)")

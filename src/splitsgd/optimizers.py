@@ -1,7 +1,7 @@
 """Optimizer drivers: SplitSGD and the baseline schedules.
 
-All drivers step on the per-sample loop :func:`splitsgd.core.sgd_steps`,
-charge budget in "units" (one unit per gradient draw on the main thread;
+All drivers step on the per-sample loop :func:`splitsgd.core.sgd_steps`
+(SplitSGD's diagnostics run in :mod:`splitsgd.diagnostic`), charge budget in "units" (one unit per gradient draw on the main thread;
 a diagnostic is charged w*l units because its two threads conceptually
 run in parallel), and log the full loss once per epoch boundary (an epoch
 is n budget units).  The trace

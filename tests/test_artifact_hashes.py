@@ -5,9 +5,9 @@ CSV and sidecar byte-identical; any change to these bytes is an
 ``artifact_version`` bump and must be declared as one.  The runs are small
 but cover every stepping path: all four ``compare`` methods with a
 diagnostic (``--t1-epochs 1``) and a divergent rate on both families, the
-pflug detector and the split detector in ``race``, raw and normalized
-``mc`` (lockstep burn-in plus two-thread windows), one ``sensitivity``
-cell and ``gen-data``.
+pflug detector and the split detector in ``race``, raw ``mc`` on both
+families and normalized ``mc`` (lockstep burn-in plus two-thread
+windows), one ``sensitivity`` cell and ``gen-data``.
 """
 
 import hashlib
@@ -35,6 +35,10 @@ RUNS = {
     "mc": [
         "mc", "--eta", "1e-2", "--reps", "30", "--l", "10", "--burn-in-epochs", "2",
         "--window-index", "3", "--windows", "4",
+    ],
+    "mc-logistic": [
+        "mc", "--problem", "logistic", "--eta", "1e-2", "--reps", "30", "--l", "10",
+        "--burn-in-epochs", "2", "--window-index", "3", "--windows", "4",
     ],
     "mc-normalized": [
         "mc", "--eta", "1e-2", "--reps", "30", "--l", "10", "--burn-in-epochs", "2",
@@ -64,6 +68,10 @@ EXPECTED = {
     "mc": (
         "16cc711c13ffdf76c020a8e627e0395f8d18884d8fc2dd8ff78835b047c1ec55",
         "abe21f17aa8b943a26406ab16e20ff3ac24f73705c89a7450c689dec84342fe7",
+    ),
+    "mc-logistic": (
+        "e0af19c3941daccd9d02a2672273cc66e421eb9eaa757b9618f00dc2871fe7ba",
+        "18d7e49ad3feaa59f5db0f8b35b896e0e6a822c3a2b6865b38437199d86e60cd",
     ),
     "mc-normalized": (
         "440a13552a8387d23c69a09de77eca3a69c1df555cdf379fc018e62050f74352",

@@ -343,6 +343,18 @@ class TestInputContract:
         ["sensitivity", "--w-values", "0"],
         ["compare", "--epochs", "-1"],
         ["compare", "--etas", "nan"],
+        ["compare", "--seeds", "0"],
+        ["compare", "--seeds", "-1"],
+        ["race", "--reps", "0"],
+        ["race", "--reps", "-1"],
+        ["sensitivity", "--seeds", "0"],
+        ["mc", "--start-noise-sd", "-1"],
+        ["mc", "--start-noise-sd", "nan"],
+        ["compare", "--noise-sd", "nan"],
+        ["race", "--noise-sd", "nan"],
+        ["mc", "--noise-sd", "nan"],
+        ["sensitivity", "--noise-sd", "nan"],
+        ["gen-data", "--noise-sd", "nan"],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, runner, tmp_path, args):
         out = tmp_path / "x.csv"

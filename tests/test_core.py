@@ -1,4 +1,5 @@
-"""Core numeric primitives: the per-sample SGD loop, step-size checks, rng streams."""
+"""Core numeric primitives: the per-sample and lockstep SGD loops, step-size
+checks, rng streams."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitsgd.core as core
 from splitsgd.core import (
     DimensionError,
     DivergenceError,
@@ -15,8 +17,11 @@ from splitsgd.core import (
     RngStream,
     as_param_vector,
     check_step_size,
+    lockstep_windows,
     sgd_steps,
 )
+from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
+from splitsgd.objectives import Dataset, Problem, ProblemSpec
 
 
 def _vec(*values):
@@ -44,8 +49,8 @@ class TestSgdStep:
 
     def test_plain_update_is_exact_expression(self):
         # theta' must equal the literal expression theta - (eta*r) * x, bit
-        # for bit; with a window it is theta - eta * (r*x), and the window
-        # receives r*x.
+        # for bit; in the lockstep loop it is theta - eta * (r*x), and the
+        # window receives r*x.
         features, targets = _data(5)
         theta = RngStream(5).generator().standard_normal(3)
         i = RngStream(6).generator().integers(0, 7, size=1)[0]
@@ -58,19 +63,20 @@ class TestSgdStep:
             sgd_steps(features, targets, family, plain, 0.37, 1, RngStream(6).generator())
             assert np.array_equal(plain, theta - (0.37 * r) * features[i])
 
-            windowed, window = theta.copy(), np.zeros(3)
-            sgd_steps(features, targets, family, windowed, 0.37, 1, RngStream(6).generator(),
-                      window=window)
-            assert np.array_equal(window, r * features[i])
-            assert np.array_equal(windowed, theta - 0.37 * (r * features[i]))
+            windowed = theta[None].copy()
+            sums, failed = lockstep_windows(features, targets, family, windowed, 0.37, 1, 1,
+                                            [RngStream(6).generator()])
+            assert failed[0] == -1
+            assert np.array_equal(sums[0, 0], r * features[i])
+            assert np.array_equal(windowed[0], theta - 0.37 * (r * features[i]))
 
     def test_inputs_not_mutated(self):
         # Only theta and the accumulators change; the data rows the loop
         # reads by view stay untouched.
         features, targets = _data(3)
         f_copy, t_copy = features.copy(), targets.copy()
-        sgd_steps(features, targets, "linear", np.ones(3), 0.1, 20, RngStream(4).generator(),
-                  window=np.zeros(3))
+        lockstep_windows(features, targets, "linear", np.ones((2, 3)), 0.1, 4, 5,
+                         [RngStream(4).generator(), RngStream(5).generator()])
         sgd_steps(features, targets, "logistic", np.ones(3), 0.1, 20, RngStream(4).generator(),
                   products=GradientProducts())
         assert np.array_equal(features, f_copy)
@@ -141,6 +147,118 @@ class TestSgdStep:
             sgd_steps(np.array([[1e154]]), _vec(0.0), "linear", _vec(1e154), 10.0, 3,
                       RngStream(0).generator())
         assert excinfo.value.step == 1
+
+
+def _reference_thread(features, targets, family, theta, eta, windows, l, gen):
+    """One thread stepped sample by sample, written apart from the package:
+    (window sums, final iterate, first divergence step or -1)."""
+    theta = theta.copy()
+    sums = np.zeros((windows, theta.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(windows * l):
+            i = gen.integers(0, features.shape[0])
+            x = features[i]
+            z = x.dot(theta)
+            if family == "linear":
+                r = z - targets[i]
+            else:
+                r = 1.0 / (1.0 + math.exp(-float(np.clip(z, -40.0, 40.0)))) - targets[i]
+            if not math.isfinite(r):
+                return sums, theta, step
+            g = r * x
+            sums[step // l] += g
+            theta -= eta * g
+    return sums, theta, -1 if np.isfinite(theta).all() else windows * l - 1
+
+
+def _blow_up_problem():
+    """Four data rows; drawing the last one overflows the iterate, so a
+    thread diverges at the draw after it (or at its last step)."""
+    features = np.array([[1.0], [0.5], [-1.0], [1e154]])
+    spec = ProblemSpec(family="linear", n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
+                       data_seed=RngStream(0))
+    return Problem(spec=spec, dataset=Dataset(features=features, targets=np.zeros(4)))
+
+
+class TestLockstepWindows:
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("eta", [0.0, 1e-2])
+    def test_rows_match_per_sample_reference(self, family, rows, eta):
+        # 3 windows of 200 steps cross the 512-step index chunk.
+        features, targets = _data(20, n=50, d=6)
+        if family == "logistic":
+            targets = (targets > 0).astype(np.float64)
+        starts = RngStream(21).generator().standard_normal((rows, 6))
+        thetas = starts.copy()
+        sums, failed = lockstep_windows(
+            features, targets, family, thetas, eta, 3, 200,
+            [RngStream(22).fork(r).generator() for r in range(rows)],
+        )
+        assert sums.shape == (3, rows, 6)
+        for r in range(rows):
+            ref_sums, ref_theta, ref_failed = _reference_thread(
+                features, targets, family, starts[r], eta, 3, 200, RngStream(22).fork(r).generator()
+            )
+            assert failed[r] == ref_failed == -1
+            assert np.array_equal(sums[:, r], ref_sums)
+            assert np.array_equal(thetas[r], ref_theta)
+
+    def test_index_buffer_size_does_not_show(self, monkeypatch):
+        # With a 7-index buffer the 3 rows refill every 2 steps, inside
+        # windows; sums and iterates still equal the default run's.
+        features, targets = _data(23, n=50, d=6)
+        starts = RngStream(24).generator().standard_normal((3, 6))
+        runs = []
+        for limit in (core._LOCKSTEP_INDICES, 7):
+            monkeypatch.setattr(core, "_LOCKSTEP_INDICES", limit)
+            thetas = starts.copy()
+            sums, _ = lockstep_windows(features, targets, "linear", thetas, 1e-2, 3, 5,
+                                       [RngStream(25).fork(r).generator() for r in range(3)])
+            runs.append((sums, thetas))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_divergence_steps_match_reference(self):
+        problem = _blow_up_problem()
+        ds = problem.dataset
+        thetas = np.full((8, 1), 1e154)
+        _, failed = lockstep_windows(ds.features, ds.targets, "linear", thetas, 10.0, 2, 3,
+                                     [RngStream(30).fork(r).generator() for r in range(8)])
+        expected = [
+            _reference_thread(ds.features, ds.targets, "linear", np.array([1e154]), 10.0, 2, 3,
+                              RngStream(30).fork(r).generator())[2]
+            for r in range(8)
+        ]
+        assert failed.tolist() == expected
+        assert -1 in expected and any(step >= 0 for step in expected)
+
+    def test_divergence_names_thread_one_first(self):
+        # The error names thread 1 whenever thread 1 diverged, even at a
+        # later step than thread 2, and thread 2 only when thread 1 stayed
+        # finite; the step is that thread's.
+        problem = _blow_up_problem()
+        ds = problem.dataset
+        cfg = DiagnosticConfig(eta=10.0, w=2, l=3)
+
+        def reference(seed, k):
+            return _reference_thread(ds.features, ds.targets, "linear", np.array([1e154]), cfg.eta,
+                                     cfg.w, cfg.l, RngStream(seed).fork(k).generator())[2]
+
+        seen = set()
+        for seed in range(200):
+            step_1, step_2 = reference(seed, 1), reference(seed, 2)
+            if step_1 < 0 and step_2 < 0:
+                continue
+            with pytest.raises(DivergenceError) as excinfo:
+                run_diagnostic(problem, np.array([1e154]), cfg, rng=RngStream(seed))
+            want = (1, step_1) if step_1 >= 0 else (2, step_2)
+            assert (excinfo.value.thread, excinfo.value.step) == want
+            if step_1 >= 0 and 0 <= step_2 < step_1:
+                seen.add("thread 2 earlier")
+            if step_1 < 0:
+                seen.add("thread 2 only")
+        assert seen == {"thread 2 earlier", "thread 2 only"}
 
 
 class TestRngStream:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 import splitsgd.diagnostic as diagnostic
 from splitsgd.analysis import CoherenceStudy, coherence_histogram
-from splitsgd.core import DivergenceError, RngStream
+from splitsgd.core import DivergenceError, RngStream, lockstep_windows
 from splitsgd.diagnostic import (
     DiagnosticConfig,
-    _run_thread,
     _two_thread_window_means,
     decide,
     run_diagnostic,
@@ -115,44 +114,75 @@ def _one_row_problem(x, y):
 
 class TestRunDiagnostic:
     def test_consumes_exactly_two_w_l_samples(self, small_linear_problem, monkeypatch):
-        steps = []
-        kernel = diagnostic.sgd_steps
+        calls = []
+        kernel = diagnostic.lockstep_windows
 
-        def counting(*args, **kwargs):
-            steps.append(args[5])
-            return kernel(*args, **kwargs)
+        def recording(features, targets, family, thetas, eta, windows, l, gens):
+            calls.append((thetas.shape[0], windows * l, gens))
+            return kernel(features, targets, family, thetas, eta, windows, l, gens)
 
-        monkeypatch.setattr(diagnostic, "sgd_steps", counting)
+        monkeypatch.setattr(diagnostic, "lockstep_windows", recording)
         cfg = DiagnosticConfig(eta=1e-3, w=3, l=7, q=0.4)
         run_diagnostic(small_linear_problem, np.zeros(4), cfg, rng=RngStream(1))
-        assert sum(steps) == 2 * 3 * 7
+        assert sum(rows * steps for rows, steps, _ in calls) == 2 * 3 * 7
+        # Each thread's stream advanced by exactly w*l draws: its next draw
+        # is the (w*l + 1)-th of a fresh copy of the stream.
+        (_, _, gens), = calls
+        n = small_linear_problem.spec.n
+        for k, gen in zip((1, 2), gens):
+            fresh = RngStream(1).fork(k).generator().integers(0, n, size=3 * 7 + 1)
+            assert gen.integers(0, n) == fresh[-1]
 
     def test_result_shapes_and_midpoint(self, small_linear_problem):
         cfg = DiagnosticConfig(eta=1e-3, w=4, l=5, q=0.4)
         result = run_diagnostic(small_linear_problem, np.ones(4), cfg, rng=RngStream(2))
         assert result.coherences.shape == (4,)
-        means_1, means_2, theta_1, theta_2 = _two_thread_window_means(
-            small_linear_problem, np.ones(4), cfg, RngStream(2)
+        means, thetas, failed = _two_thread_window_means(
+            small_linear_problem, np.ones((1, 4)), cfg, [RngStream(2)]
         )
-        assert np.array_equal(result.theta_d, (theta_1 + theta_2) / 2.0)
-        expected_q = [float(np.dot(means_1[i], means_2[i])) for i in range(4)]
+        assert means.shape == (4, 2, 1, 4) and thetas.shape == (2, 1, 4)
+        assert np.array_equal(failed, [[-1], [-1]])
+        assert np.array_equal(result.theta_d, (thetas[0, 0] + thetas[1, 0]) / 2.0)
+        expected_q = [float(np.dot(means[i, 0, 0], means[i, 1, 0])) for i in range(4)]
         assert np.array_equal(result.coherences, np.array(expected_q))
 
     def test_thread_exchange_symmetry(self, small_linear_problem):
-        # A thread depends only on its own stream: running thread 2 first on
-        # thread 1's stream and vice versa reproduces both threads exactly ...
+        # A thread depends only on its own stream: the lockstep loop run on
+        # the two streams in exchanged order reproduces both threads
+        # exactly ...
         cfg = DiagnosticConfig(eta=1e-3, w=4, l=5, q=0.4)
-        regular = _two_thread_window_means(small_linear_problem, np.ones(4), cfg, RngStream(6))
-        second = _run_thread(small_linear_problem, np.ones(4), cfg, RngStream(6).fork(2).generator(), 2)
-        first = _run_thread(small_linear_problem, np.ones(4), cfg, RngStream(6).fork(1).generator(), 1)
-        assert np.array_equal(regular[0], first[0]) and np.array_equal(regular[2], first[1])
-        assert np.array_equal(regular[1], second[0]) and np.array_equal(regular[3], second[1])
+        means, thetas, _ = _two_thread_window_means(
+            small_linear_problem, np.ones((1, 4)), cfg, [RngStream(6)]
+        )
+        swapped = np.ones((2, 4))
+        ds = small_linear_problem.dataset
+        sums, failed = lockstep_windows(
+            ds.features, ds.targets, "linear", swapped, cfg.eta, cfg.w, cfg.l,
+            [RngStream(6).fork(k).generator() for k in (2, 1)],
+        )
+        sums /= cfg.l
+        assert np.array_equal(failed, [-1, -1])
+        assert np.array_equal(sums[:, 0], means[:, 1, 0]) and np.array_equal(swapped[0], thetas[1, 0])
+        assert np.array_equal(sums[:, 1], means[:, 0, 0]) and np.array_equal(swapped[1], thetas[0, 0])
         # ... and exchanging the roles leaves every coherence and the midpoint
         # invariant.
-        q_regular = [float(np.dot(regular[0][i], regular[1][i])) for i in range(4)]
-        q_swapped = [float(np.dot(second[0][i], first[0][i])) for i in range(4)]
+        q_regular = [float(np.dot(means[i, 0, 0], means[i, 1, 0])) for i in range(4)]
+        q_swapped = [float(np.dot(sums[i, 0], sums[i, 1])) for i in range(4)]
         assert q_regular == q_swapped
-        assert np.array_equal((regular[2] + regular[3]) / 2, (second[1] + first[1]) / 2)
+        assert np.array_equal((thetas[0, 0] + thetas[1, 0]) / 2, (swapped[0] + swapped[1]) / 2)
+
+    def test_rows_match_single_replication_calls(self, small_logistic_problem):
+        # Batching replications changes nothing: three start points split in
+        # one call equal three one-row calls, bit for bit.
+        cfg = DiagnosticConfig(eta=1e-2, w=3, l=4, q=0.4)
+        starts = RngStream(9).generator().standard_normal((3, 4))
+        rngs = [RngStream(9).fork(r) for r in range(3)]
+        batched = _two_thread_window_means(small_logistic_problem, starts, cfg, rngs)
+        for r in range(3):
+            alone = _two_thread_window_means(small_logistic_problem, starts[r:r + 1], cfg, rngs[r:r + 1])
+            assert np.array_equal(batched[0][:, :, r:r + 1], alone[0])
+            assert np.array_equal(batched[1][:, r:r + 1], alone[1])
+            assert np.array_equal(batched[2][:, r:r + 1], alone[2])
 
     def test_noiseless_oracle_never_stationary(self):
         problem = _one_row_problem([1.0, 2.0, 0.5, -1.0], 3.0)
