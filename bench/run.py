@@ -4,18 +4,22 @@
 
 Run from the root of a checkout.  For each tree it records:
 
-* layer rows, timed in a fresh interpreter with that tree on ``PYTHONPATH``:
-  µs per diagnostic gradient eval (one ``run_diagnostic`` at w = 20,
-  l = 50, and the diagnostic threads of a 40-replication ``mc``
-  histogram with no burn-in), and ns per burn-in replication-step
-  (``analysis._lockstep_burn_in`` at R = 250), each the median of
+* layer rows, timed in a fresh interpreter with that tree on ``PYTHONPATH``
+  on the default linear problem (d = 20, n = 1000): µs per main-thread
+  step (one epoch of ``core.sgd_steps``), µs per diagnostic gradient eval
+  (one ``run_diagnostic`` at w = 20, l = 50, and the diagnostic threads of
+  a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
+  replication-step (``analysis._lockstep_burn_in`` at R = 250), µs per
+  epoch loss record (``objectives.full_loss``) and µs per CSV row written
+  (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each the median of
   ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
   ``compare`` and ``mc-stationary`` benchmark commands, measured by
   ``perfbench/child.py`` exactly as the benchmark measures them; the two
   trees alternate execution by execution, ``--pairs`` times each, the
   first tree to run switching from pair to pair; each side reports its
-  median and quartiles;
+  median and quartiles, and each metric the number of pairs in which the
+  after tree read lower;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0).
 
 Set-up runs single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
@@ -53,12 +57,13 @@ COMMANDS = {
 }
 
 LAYERS = r"""
-import json, statistics, sys, time
+import json, os, statistics, sys, tempfile, time
 import numpy as np
+from splitsgd._csvio import write_csv
 from splitsgd.analysis import CoherenceStudy, _lockstep_burn_in, coherence_histogram
-from splitsgd.core import RngStream
+from splitsgd.core import RngStream, sgd_steps
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
-from splitsgd.objectives import build_problem, make_default_spec, reversed_start
+from splitsgd.objectives import build_problem, full_loss, make_default_spec, reversed_start
 
 repeats = int(sys.argv[1])
 spec = make_default_spec("linear", RngStream(0))
@@ -73,8 +78,11 @@ def median_time(fn):
         times.append(time.perf_counter() - t)
     return statistics.median(times)
 
-cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)
 start = reversed_start(spec)
+n = ds.features.shape[0]
+step = median_time(lambda k: sgd_steps(
+    ds.features, ds.targets, "linear", start.copy(), 1e-2, n, RngStream(k).generator()))
+cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)
 one = median_time(lambda k: run_diagnostic(problem, start, cfg, RngStream(k)))
 study = CoherenceStudy(problem=problem, eta=1e-2, window_index=2, windows=20, replications=40)
 many = median_time(lambda k: coherence_histogram(study, RngStream(k)))
@@ -84,10 +92,19 @@ def burn(k):
     gens = [RngStream(k).fork(r).generator() for r in range(R)]
     _lockstep_burn_in(ds.features, ds.targets, "linear", thetas, 1e-2, steps, gens)
 burn_s = median_time(burn)
+LOSSES = 100
+loss_s = median_time(lambda k: [full_loss(ds, "linear", start) for _ in range(LOSSES)])
+rows = [("const", 10.0 ** -(i % 6), i, 1.0 / (i + 3)) for i in range(1000)]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "rows.csv")
+    csv_s = median_time(lambda k: write_csv(path, ["method", "eta", "seed", "final_log_loss"], rows))
 print(json.dumps({
+    "main_thread_us_per_step": 1e6 * step / n,
     "diagnostic_us_per_eval": 1e6 * one / (2 * cfg.w * cfg.l),
     "mc_diagnostic_us_per_eval": 1e6 * many / (2 * 40 * 20 * 50),
     "burn_in_ns_per_rep_step": 1e9 * burn_s / (R * steps),
+    "full_loss_us_per_record": 1e6 * loss_s / LOSSES,
+    "csv_us_per_row": 1e6 * csv_s / len(rows),
 }))
 """
 
@@ -163,10 +180,10 @@ def main(argv=None) -> int:
                 side: {key: _spread([m[key] for m in runs]) for key in runs[0]}
                 for side, runs in samples.items()
             }
-            after_faster = sum(
-                a["wall_s"] < b["wall_s"] for a, b in zip(samples["after"], samples["before"])
-            )
-            report["end_to_end"][name]["pairs_after_faster_wall_s"] = after_faster
+            pairs = list(zip(samples["after"], samples["before"]))
+            report["end_to_end"][name]["pairs_after_lower"] = {
+                key: sum(a[key] < b[key] for a, b in pairs) for key in pairs[0][0]
+            }
     report["artifacts_identical"] = all(
         sides_["before"] == sides_["after"] for sides_ in report["artifacts"].values()
     )

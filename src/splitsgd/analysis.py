@@ -42,6 +42,9 @@ _CHILD_START = 0
 _CHILD_BURN_IN = 1
 _CHILD_DIAGNOSTIC = 2
 
+# Burn-in steps whose indices are drawn per replication in one go.
+_BURN_IN_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class CoherenceStudy:
@@ -101,7 +104,6 @@ def _lockstep_burn_in(
     eta: float,
     steps: int,
     gens: list[np.random.Generator],
-    chunk: int = 512,
 ) -> np.ndarray:
     """Advance all replications in lockstep; returns the finite-row mask.
 
@@ -113,11 +115,11 @@ def _lockstep_burn_in(
     n = features.shape[0]
     n_rep = thetas.shape[0]
     linear = family == "linear"
-    idx = np.empty((chunk, n_rep), dtype=np.int64)
+    idx = np.empty((_BURN_IN_CHUNK, n_rep), dtype=np.int64)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < steps:
-            k = min(chunk, steps - done)
+            k = min(_BURN_IN_CHUNK, steps - done)
             for r, gen in enumerate(gens):
                 idx[:k, r] = gen.integers(0, n, size=k)
             for rows in idx[:k]:

@@ -4,7 +4,7 @@ Every command is deterministic given its flag set (including --seed): CSVs
 are written with canonical row ordering and repr-formatted floats, and each
 artifact gets a ``<out>.meta`` sidecar with the fully resolved
 configuration.  Option precedence is flags > config file (key=value lines
-via --config) > built-in defaults.  An out-of-range value, rejected by the
+via --config, keyed by long flag name) > built-in defaults.  An out-of-range value, rejected by the
 configuration it feeds, exits 2 like any other usage error.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import click
@@ -64,9 +63,21 @@ _CHILD_PFLUG = 1
 _CHILD_SPLIT = 2
 
 
+def _config_keys(command: click.Command) -> dict[str, str]:
+    """Config key (a long flag's name, dashes as underscores) -> parameter name."""
+    return {
+        opt.lstrip("-").replace("-", "_"): p.name
+        for p in command.params
+        if isinstance(p, click.Option) and p.expose_value
+        for opt in p.opts
+        if opt.startswith("--")
+    }
+
+
 def _load_config(ctx: click.Context, param: click.Parameter, value):
     if not value:
         return None
+    keys = _config_keys(ctx.command)
     entries = {}
     with open(value, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -76,7 +87,14 @@ def _load_config(ctx: click.Context, param: click.Parameter, value):
             if "=" not in line:
                 raise click.UsageError(f"{value}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            entries[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip()
+            name = keys.get(key.replace("-", "_"))
+            if name is None:
+                raise click.UsageError(
+                    f"{value}:{lineno}: unknown key {key!r}; expected one of "
+                    f"{', '.join(sorted(keys))}"
+                )
+            entries[name] = val.strip()
     ctx.default_map = {**(ctx.default_map or {}), **entries}
     return None
 
@@ -106,10 +124,9 @@ def _parse_floats(ctx, param, value) -> tuple[float, ...]:
 
 def _parse_ints(ctx, param, value) -> tuple[int, ...]:
     floats = _parse_floats(ctx, param, value)
-    ints = tuple(int(v) for v in floats)
-    if any(i != v for i, v in zip(ints, floats)):
+    if not all(float(v).is_integer() for v in floats):
         raise click.UsageError(f"{param.name}: expected integers")
-    return ints
+    return tuple(int(v) for v in floats)
 
 
 def _parse_methods(ctx, param, value) -> tuple[str, ...]:
@@ -139,6 +156,9 @@ def _resolve_threads(threads: int | None) -> int:
 def _pool_map(fn, payloads, threads: int):
     if threads <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # Imported here so a single-process run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, payloads))
 

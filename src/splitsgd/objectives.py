@@ -129,7 +129,10 @@ def generate(spec: ProblemSpec) -> Dataset:
     x = gen.standard_normal((spec.n, spec.d))
     z = x @ spec.theta_star
     if spec.family == "linear":
-        targets = z + spec.noise_sd * gen.standard_normal(spec.n)
+        with np.errstate(over="ignore"):
+            targets = z + spec.noise_sd * gen.standard_normal(spec.n)
+        if not np.isfinite(targets).all():
+            raise ValueError(f"noise_sd={spec.noise_sd} gives non-finite targets")
     else:
         targets = (gen.random(spec.n) < sigmoid(z)).astype(np.float64)
     return Dataset(features=x, targets=targets)

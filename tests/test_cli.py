@@ -1,12 +1,17 @@
 """End-to-end CLI checks: artifacts, determinism, config precedence, exits."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import splitsgd
 from splitsgd.cli import cli, main
 from splitsgd.core import RngStream
 from splitsgd.objectives import (
@@ -148,6 +153,27 @@ class TestCompare:
         meta = _meta(out)
         assert meta["epochs"] == "1"
         assert meta["seeds"] == "2"
+
+    def test_config_keys_are_flag_names(self, runner, tmp_path):
+        # `--problem` feeds the parameter `family`; the config key is the flag's.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=logistic\nmethods=const\netas=1e-3\nepochs=1\nseeds=1\nt1-epochs=2\n")
+        out = tmp_path / "cfg.csv"
+        result = runner.invoke(cli, ["compare", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        meta = _meta(out)
+        assert meta["problem"] == "logistic"
+        assert meta["t1_epochs"] == "2"
+
+    def test_unknown_config_key_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("methods=const\nepochs=1\nseeds=1\netass=1e-2\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(cli, ["compare", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "etass" in result.output
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta").exists()
 
     def test_malformed_config_line_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -355,6 +381,8 @@ class TestInputContract:
         ["mc", "--noise-sd", "nan"],
         ["sensitivity", "--noise-sd", "nan"],
         ["gen-data", "--noise-sd", "nan"],
+        ["compare", "--noise-sd", "inf"],
+        ["gen-data", "--noise-sd", "1e308"],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, runner, tmp_path, args):
         out = tmp_path / "x.csv"
@@ -375,6 +403,21 @@ class TestEntryPoints:
         result = runner.invoke(cli, ["-h"])
         assert result.exit_code == 0
         assert "Usage" in result.output
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # Only a command that fans out to worker processes loads the pool.
+        src = str(Path(splitsgd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        probe = (
+            "import sys, splitsgd.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_main_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
