@@ -11,16 +11,18 @@ Run from the root of a checkout.  For each tree it records:
   a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
   replication-step (``analysis._lockstep_burn_in`` at R = 250), µs per
   epoch loss record (``objectives.full_loss``) and µs per CSV row written
-  (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each the median of
-  ``--repeats`` timings;
+  (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each interpreter
+  giving the median of ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
   ``compare`` and ``mc-stationary`` benchmark commands, measured by
-  ``perfbench/child.py`` exactly as the benchmark measures them; the two
-  trees alternate execution by execution, ``--pairs`` times each, the
-  first tree to run switching from pair to pair; each side reports its
-  median and quartiles, and each metric the number of pairs in which the
-  after tree read lower;
+  ``perfbench/child.py`` exactly as the benchmark measures them;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0).
+
+Both kinds of rows are timed in pairs: the two trees alternate, one
+interpreter (layer rows) or one execution (end to end) at a time,
+``--pairs`` times each, the first tree to run switching from pair to pair.
+Each side reports its median and quartiles over the pairs, and each row
+the number of pairs in which the after tree read lower.
 
 Set-up runs single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
 ``PYTHONHASHSEED=0``, as the benchmark does.
@@ -145,6 +147,24 @@ def _spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _alternate(sides: dict[str, Path], pairs: int):
+    """(side, tree) in before/after pairs, the first side switching each pair."""
+    order = list(sides.items())
+    for pair in range(pairs):
+        yield from order[::-1] if pair % 2 else order
+
+
+def _paired(samples: dict[str, list[dict[str, float]]]) -> dict:
+    """Per-side spread of every row, and the pairs in which after read lower."""
+    summary = {
+        side: {key: _spread([m[key] for m in runs]) for key in runs[0]}
+        for side, runs in samples.items()
+    }
+    pairs = list(zip(samples["after"], samples["before"]))
+    summary["pairs_after_lower"] = {key: sum(a[key] < b[key] for a, b in pairs) for key in pairs[0][0]}
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -155,11 +175,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
+    layer_samples = {side: [] for side in sides}
+    for side, src in _alternate(sides, args.pairs):
+        layer_samples[side].append(layers(src, args.repeats))
     report = {
         "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
                     "python": platform.python_version()},
         "pairs": args.pairs,
-        "layers": {side: layers(src, args.repeats) for side, src in sides.items()},
+        "layers": _paired(layer_samples),
         "end_to_end": {},
         "artifacts": {},
     }
@@ -167,23 +190,14 @@ def main(argv=None) -> int:
         count = 0
         for name, command in COMMANDS.items():
             samples = {side: [] for side in sides}
-            for pair in range(args.pairs):
-                order = list(sides.items())
-                for side, src in order[::-1] if pair % 2 else order:
-                    count += 1
-                    metrics, digests = execute(src, command, Path(tmp) / str(count))
-                    samples[side].append(metrics)
-                    seen = report["artifacts"].setdefault(name, {}).setdefault(side, digests)
-                    if seen != digests:
-                        raise SystemExit(f"{name} ({side}) wrote different bytes on a rerun")
-            report["end_to_end"][name] = {
-                side: {key: _spread([m[key] for m in runs]) for key in runs[0]}
-                for side, runs in samples.items()
-            }
-            pairs = list(zip(samples["after"], samples["before"]))
-            report["end_to_end"][name]["pairs_after_lower"] = {
-                key: sum(a[key] < b[key] for a, b in pairs) for key in pairs[0][0]
-            }
+            for side, src in _alternate(sides, args.pairs):
+                count += 1
+                metrics, digests = execute(src, command, Path(tmp) / str(count))
+                samples[side].append(metrics)
+                seen = report["artifacts"].setdefault(name, {}).setdefault(side, digests)
+                if seen != digests:
+                    raise SystemExit(f"{name} ({side}) wrote different bytes on a rerun")
+            report["end_to_end"][name] = _paired(samples)
     report["artifacts_identical"] = all(
         sides_["before"] == sides_["after"] for sides_ in report["artifacts"].values()
     )

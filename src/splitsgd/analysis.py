@@ -22,6 +22,7 @@ from .objectives import (
     perturbed_start,
     reversed_start,
     sigmoid,
+    start_point,
 )
 from .optimizers import SplitSgdConfig, final_log_loss, run_splitsgd
 
@@ -34,8 +35,6 @@ __all__ = [
     "run_grid_cell",
     "type1_error_probability",
 ]
-
-START_KINDS = ("reversed", "near-optimum")
 
 # Child ids under one replication's stream.
 _CHILD_START = 0
@@ -51,10 +50,10 @@ class CoherenceStudy:
     """One histogram scenario: problem, step size, burn-in length (steps),
     which window to record, and how many seeded replications to run.
 
-    Each replication starts from the scenario's base point (the far
-    "reversed" profile or the optimum) plus N(0, start_noise_sd^2 I) noise
-    from its own stream, runs ``burn_in_steps`` of constant-rate SGD, then
-    one two-thread split.  Only ``windows`` windows are run (default:
+    Each replication starts from the scenario's base point
+    (:func:`splitsgd.objectives.start_point`) plus N(0, start_noise_sd^2 I)
+    noise from its own stream, runs ``burn_in_steps`` of constant-rate SGD,
+    then one two-thread split.  Only ``windows`` windows are run (default:
     ``window_index``) — a window's coherence depends only on the draws up
     to that window, so truncating the tail changes nothing.
     """
@@ -80,8 +79,6 @@ class CoherenceStudy:
             raise ValueError("replications must be positive")
         if self.windows is not None and self.windows < self.window_index:
             raise ValueError("windows must cover window_index")
-        if self.start not in START_KINDS:
-            raise ValueError(f"start must be one of {START_KINDS}")
         if not self.start_noise_sd >= 0.0:
             raise ValueError(f"start_noise_sd must be >= 0, got {self.start_noise_sd}")
 
@@ -147,7 +144,7 @@ def coherence_histogram(
     problem = build_problem(study.problem)
     dataset = problem.dataset
     spec = problem.spec
-    base = reversed_start(spec) if study.start == "reversed" else spec.theta_star.copy()
+    base = start_point(spec, study.start)
     n_rep = study.replications
     windows = study.windows if study.windows is not None else study.window_index
     diag_cfg = DiagnosticConfig(eta=study.eta, w=windows, l=study.l, q=0.5)

@@ -2,14 +2,19 @@
 
 Every command is deterministic given its flag set (including --seed): CSVs
 are written with canonical row ordering and repr-formatted floats, and each
-artifact gets a ``<out>.meta`` sidecar with the fully resolved
-configuration.  Option precedence is flags > config file (key=value lines
-via --config, keyed by long flag name) > built-in defaults.  An out-of-range value, rejected by the
-configuration it feeds, exits 2 like any other usage error.
+artifact gets a ``<out>.meta`` sidecar holding every option of its command
+as resolved for the run.  An option that several commands take is declared
+once below, and every option is named after its long flag, which is also
+its config key and its sidecar key.  Option precedence is flags > config
+file (key=value lines via --config) > built-in defaults; ``--threads``
+reads $SPLITSGD_THREADS after the config file and before its default of 1.
+An out-of-range value, rejected by the configuration it feeds, exits 2
+like any other usage error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -18,7 +23,7 @@ from dataclasses import replace
 import click
 
 from . import __version__
-from ._csvio import write_csv, write_sidecar
+from ._csvio import fmt_value, write_csv, write_sidecar
 from .analysis import (
     CoherenceStudy,
     QRiskQuery,
@@ -29,12 +34,14 @@ from .analysis import (
 from .core import DivergenceError, NumericError, RngStream
 from .objectives import (
     DATA_STREAM_CHILD,
+    FAMILIES,
+    START_POINTS,
     START_STREAM_CHILD,
     Problem,
     build_problem,
     make_default_spec,
     perturbed_start,
-    reversed_start,
+    start_point,
     write_dataset_csv,
 )
 from .optimizers import (
@@ -52,7 +59,6 @@ SCHEMA_VERSION = 1
 THREADS_ENV = "SPLITSGD_THREADS"
 
 METHODS = ("splitsgd", "const", "sqrt", "half")
-START_CHOICES = ("reversed", "near-opt")
 ETA_SCALES = {"large": 1e-3, "small": 1e-4}
 
 # Stream layout: one experiment namespace under the master seed, one child
@@ -63,21 +69,10 @@ _CHILD_PFLUG = 1
 _CHILD_SPLIT = 2
 
 
-def _config_keys(command: click.Command) -> dict[str, str]:
-    """Config key (a long flag's name, dashes as underscores) -> parameter name."""
-    return {
-        opt.lstrip("-").replace("-", "_"): p.name
-        for p in command.params
-        if isinstance(p, click.Option) and p.expose_value
-        for opt in p.opts
-        if opt.startswith("--")
-    }
-
-
 def _load_config(ctx: click.Context, param: click.Parameter, value):
     if not value:
         return None
-    keys = _config_keys(ctx.command)
+    keys = {p.name for p in ctx.command.params if isinstance(p, click.Option) and p.expose_value}
     entries = {}
     with open(value, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -87,11 +82,10 @@ def _load_config(ctx: click.Context, param: click.Parameter, value):
             if "=" not in line:
                 raise click.UsageError(f"{value}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip()
-            name = keys.get(key.replace("-", "_"))
-            if name is None:
+            name = key.strip().replace("-", "_")
+            if name not in keys:
                 raise click.UsageError(
-                    f"{value}:{lineno}: unknown key {key!r}; expected one of "
+                    f"{value}:{lineno}: unknown key {key.strip()!r}; expected one of "
                     f"{', '.join(sorted(keys))}"
                 )
             entries[name] = val.strip()
@@ -99,22 +93,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, value):
     return None
 
 
-def config_option(fn):
-    return click.option(
-        "--config",
-        type=click.Path(exists=True, dir_okay=False),
-        callback=_load_config,
-        is_eager=True,
-        expose_value=False,
-        help="key=value file supplying defaults (flags still win).",
-    )(fn)
-
-
 def _parse_floats(ctx, param, value) -> tuple[float, ...]:
-    if isinstance(value, tuple):
-        return value
     try:
-        parsed = tuple(float(tok) for tok in str(value).split(",") if tok.strip())
+        parsed = tuple(float(tok) for tok in value.split(",") if tok.strip())
     except ValueError as err:
         raise click.UsageError(f"{param.name}: {err}")
     if not parsed:
@@ -130,9 +111,7 @@ def _parse_ints(ctx, param, value) -> tuple[int, ...]:
 
 
 def _parse_methods(ctx, param, value) -> tuple[str, ...]:
-    if isinstance(value, tuple):
-        return value
-    methods = tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
+    methods = tuple(tok.strip() for tok in value.split(",") if tok.strip())
     unknown = [m for m in methods if m not in METHODS]
     if unknown or not methods:
         raise click.UsageError(
@@ -141,16 +120,47 @@ def _parse_methods(ctx, param, value) -> tuple[str, ...]:
     return methods
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
+def _resolve_threads(ctx, param, value) -> int:
+    # Not click's envvar=: that would read the environment before --config.
+    if value is None:
         raw = os.environ.get(THREADS_ENV, "")
         try:
-            threads = int(raw) if raw else 1
+            value = int(raw) if raw else 1
         except ValueError:
             raise click.UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if threads < 1:
+    if value < 1:
         raise click.UsageError("--threads must be >= 1")
-    return threads
+    return value
+
+
+def _options(*decorators):
+    """One decorator applying ``decorators``, listed in --help order."""
+    return lambda fn: functools.reduce(lambda f, dec: dec(f), reversed(decorators), fn)
+
+
+# Each option below is shared by several commands; click.option builds a
+# fresh Option every time its decorator is applied.
+etas_option = click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,1e-3,1e-2,1e-1", show_default=True, help="Comma-separated initial step sizes.")
+epochs_option = click.option("--epochs", type=int, default=100, show_default=True)
+start_option = click.option("--start", type=click.Choice(START_POINTS), default="reversed", show_default=True)
+l_option = click.option("--l", type=int, default=50, show_default=True)
+threads_option = click.option("--threads", type=int, default=None, callback=_resolve_threads, help=f"Worker processes (default: ${THREADS_ENV} or 1).")
+schedule_options = _options(
+    start_option,
+    click.option("--t1-epochs", type=int, default=4, show_default=True),
+    click.option("--gamma", type=float, default=0.5, show_default=True),
+)
+window_options = _options(
+    click.option("--w", type=int, default=20, show_default=True),
+    l_option,
+    click.option("--q", type=float, default=0.4, show_default=True),
+)
+run_options = _options(
+    click.option("--problem", type=click.Choice(FAMILIES), default="linear", show_default=True),
+    click.option("--noise-sd", type=float, default=1.0, show_default=True),
+    click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True),
+    click.option("--out", type=click.Path(dir_okay=False), required=True),
+)
 
 
 def _pool_map(fn, payloads, threads: int):
@@ -168,29 +178,36 @@ def _experiment_stream(seed: int) -> RngStream:
 
 
 def _make_problem(family: str, seed: int, noise_sd: float, n: int = 1000, d: int = 20) -> Problem:
-    spec = make_default_spec(
-        family, RngStream(seed).fork(DATA_STREAM_CHILD), n=n, d=d, noise_sd=noise_sd
-    )
-    return build_problem(spec)
+    data_seed = RngStream(seed).fork(DATA_STREAM_CHILD)
+    return build_problem(make_default_spec(family, data_seed, n=n, d=d, noise_sd=noise_sd))
 
 
-def _start_base(problem: Problem, start: str):
-    return reversed_start(problem.spec) if start == "reversed" else problem.spec.theta_star.copy()
-
-
-def _sidecar(out, command: str, params: dict) -> None:
+def _sidecar(**resolved) -> None:
+    """Write ``<out>.meta``: the fixed keys plus every option of the running
+    command, with ``resolved`` giving the values settled at run time."""
+    ctx = click.get_current_context()
     entries = {
         "artifact": "splitsgd",
         "artifact_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        **params,
+        "command": ctx.command.name,
     }
-    write_sidecar(out, entries)
+    for key, value in {**ctx.params, **resolved}.items():
+        entries[key] = ",".join(map(fmt_value, value)) if isinstance(value, tuple) else value
+    write_sidecar(entries["out"], entries)
 
 
 class _Command(click.Command):
-    """A command whose configuration ``ValueError``s exit as usage errors."""
+    """A command that takes --config and whose configuration ``ValueError``s
+    exit as usage errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.insert(0, click.Option(
+            ["--config"], type=click.Path(exists=True, dir_okay=False), callback=_load_config,
+            is_eager=True, expose_value=False,
+            help="key=value file supplying defaults (flags still win).",
+        ))
 
     def invoke(self, ctx):
         try:
@@ -234,33 +251,24 @@ def _compare_cell(payload):
 
 
 @cli.command()
-@config_option
-@click.option("--problem", "family", type=click.Choice(["linear", "logistic"]), default="linear", show_default=True)
-@click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,1e-3,1e-2,1e-1", show_default=True, help="Comma-separated initial step sizes.")
-@click.option("--epochs", type=int, default=100, show_default=True)
+@run_options
+@etas_option
+@epochs_option
 @click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True, help="Number of replication seeds per cell.")
 @click.option("--methods", callback=_parse_methods, default="splitsgd,const,sqrt,half", show_default=True)
-@click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
-@click.option("--t1-epochs", type=int, default=4, show_default=True)
-@click.option("--w", type=int, default=20, show_default=True)
-@click.option("--l", "l", type=int, default=50, show_default=True)
-@click.option("--q", type=float, default=0.4, show_default=True)
-@click.option("--gamma", type=float, default=0.5, show_default=True)
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None, help=f"Worker processes (default: ${THREADS_ENV} or 1).")
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def compare(family, etas, epochs, seeds, methods, start, t1_epochs, w, l, q, gamma, noise_sd, seed, threads, out):
+@schedule_options
+@window_options
+@threads_option
+def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t1_epochs, gamma, w, l, q, threads):
     """Final log loss per (method, step size, seed) after a fixed budget."""
-    threads = _resolve_threads(threads)
-    problem = _make_problem(family, seed, noise_sd)
-    base = _start_base(problem, start)
-    t1 = t1_epochs * problem.spec.n
+    instance = _make_problem(problem, seed, noise_sd)
+    base = start_point(instance.spec, start)
+    t1 = t1_epochs * instance.spec.n
     split_cfg = None
     if "splitsgd" in methods:
         split_cfg = SplitSgdConfig(eta=etas[0], w=w, l=l, q=q, t1=t1, gamma=gamma)
     payloads = [
-        (problem, base, method, eta, s, seed, epochs, t1, split_cfg)
+        (instance, base, method, eta, s, seed, epochs, t1, split_cfg)
         for method in methods
         for eta in etas
         for s in range(seeds)
@@ -268,12 +276,7 @@ def compare(family, etas, epochs, seeds, methods, start, t1_epochs, w, l, q, gam
     results = _pool_map(_compare_cell, payloads, threads)
     rows = sorted((m, e, s, v) for m, e, s, v in results)
     write_csv(out, ["method", "eta", "seed", "final_log_loss"], rows)
-    _sidecar(out, "compare", {
-        "problem": family, "etas": ",".join(repr(e) for e in etas), "epochs": epochs,
-        "seeds": seeds, "methods": ",".join(methods), "start": start,
-        "t1_epochs": t1_epochs, "w": w, "l": l, "q": q, "gamma": gamma,
-        "noise_sd": noise_sd, "seed": seed, "threads": threads, "out": out,
-    })
+    _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
@@ -290,35 +293,26 @@ def _race_rep(payload):
 
 
 @cli.command()
-@config_option
-@click.option("--problem", "family", type=click.Choice(["linear", "logistic"]), default="linear", show_default=True)
-@click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
+@run_options
 @click.option("--eta-scale", type=click.Choice(sorted(ETA_SCALES)), default="large", show_default=True)
 @click.option("--eta", type=float, default=None, help="Explicit step size (overrides --eta-scale).")
 @click.option("--reps", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--max-epochs", type=int, default=1000, show_default=True)
-@click.option("--t1-epochs", type=int, default=4, show_default=True)
-@click.option("--w", type=int, default=20, show_default=True)
-@click.option("--l", "l", type=int, default=50, show_default=True)
-@click.option("--q", type=float, default=0.4, show_default=True)
-@click.option("--gamma", type=float, default=0.5, show_default=True)
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None, help=f"Worker processes (default: ${THREADS_ENV} or 1).")
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def race(family, start, eta_scale, eta, reps, max_epochs, t1_epochs, w, l, q, gamma, noise_sd, seed, threads, out):
+@schedule_options
+@window_options
+@threads_option
+def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, t1_epochs, gamma, w, l, q, threads):
     """Detection-epoch race: split diagnostic vs consecutive-gradient sum.
 
     Both detectors run per replication from the same start; rows record the
     epoch of first detection, with the budget cap as value when none fires.
     """
-    threads = _resolve_threads(threads)
     if eta is None:
         eta = ETA_SCALES[eta_scale]
-    problem = _make_problem(family, seed, noise_sd)
-    base = _start_base(problem, start)
-    cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * problem.spec.n, gamma=gamma)
-    payloads = [(problem, base, rep, seed, cfg, max_epochs) for rep in range(reps)]
+    instance = _make_problem(problem, seed, noise_sd)
+    base = start_point(instance.spec, start)
+    cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n, gamma=gamma)
+    payloads = [(instance, base, rep, seed, cfg, max_epochs) for rep in range(reps)]
     results = _pool_map(_race_rep, payloads, threads)
     rows = []
     for rep, split, pflug in sorted(results):
@@ -326,12 +320,7 @@ def race(family, start, eta_scale, eta, reps, max_epochs, t1_epochs, w, l, q, ga
             capped = epoch is None
             rows.append((rep, method, max_epochs if capped else epoch, capped))
     write_csv(out, ["rep", "method", "detection_epoch", "capped"], rows)
-    _sidecar(out, "race", {
-        "problem": family, "start": start, "eta_scale": eta_scale, "eta": eta,
-        "reps": reps, "max_epochs": max_epochs, "t1_epochs": t1_epochs,
-        "w": w, "l": l, "q": q, "gamma": gamma, "noise_sd": noise_sd,
-        "seed": seed, "threads": threads, "out": out,
-    })
+    _sidecar(eta=eta)
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
@@ -339,23 +328,19 @@ def race(family, start, eta_scale, eta, reps, max_epochs, t1_epochs, w, l, q, ga
 
 
 @cli.command()
-@config_option
-@click.option("--problem", "family", type=click.Choice(["linear", "logistic"]), default="linear", show_default=True)
+@run_options
 @click.option("--eta", type=float, default=1e-4, show_default=True)
 @click.option("--burn-in-epochs", type=int, default=0, show_default=True)
 @click.option("--reps", type=int, default=500, show_default=True)
 @click.option("--window-index", type=int, default=2, show_default=True)
-@click.option("--l", "l", type=int, default=50, show_default=True)
+@l_option
 @click.option("--windows", type=int, default=None, help="Windows to run (default: --window-index).")
 @click.option("--normalized/--raw", default=False, show_default=True, help="Record cosines instead of raw inner products.")
-@click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
+@start_option
 @click.option("--start-noise-sd", type=float, default=0.1, show_default=True)
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def mc(family, eta, burn_in_epochs, reps, window_index, l, windows, normalized, start, start_noise_sd, noise_sd, seed, out):
+def mc(problem, noise_sd, seed, out, eta, burn_in_epochs, reps, window_index, l, windows, normalized, start, start_noise_sd):
     """Monte-Carlo histogram of one window's gradient coherence."""
-    spec = make_default_spec(family, RngStream(seed).fork(DATA_STREAM_CHILD), noise_sd=noise_sd)
+    spec = make_default_spec(problem, RngStream(seed).fork(DATA_STREAM_CHILD), noise_sd=noise_sd)
     study = CoherenceStudy(
         problem=spec,
         eta=eta,
@@ -365,20 +350,16 @@ def mc(family, eta, burn_in_epochs, reps, window_index, l, windows, normalized, 
         normalized=normalized,
         l=l,
         windows=windows,
-        start="reversed" if start == "reversed" else "near-optimum",
+        start=start,
         start_noise_sd=start_noise_sd,
     )
     rows, summary = coherence_histogram(study, _experiment_stream(seed))
     write_csv(out, ["replication", "q_value", "normalized"], [(r, v, normalized) for r, v in rows])
-    _sidecar(out, "mc", {
-        "problem": family, "eta": eta, "burn_in_epochs": burn_in_epochs, "reps": reps,
-        "window_index": window_index, "l": l, "windows": windows if windows is not None else window_index,
-        "normalized": normalized, "start": start, "start_noise_sd": start_noise_sd,
-        "noise_sd": noise_sd, "seed": seed, "out": out,
-        "kept": summary.kept, "diverged": summary.diverged,
-        "mean": summary.mean, "sd": summary.sd,
-        "negative_fraction": summary.negative_fraction,
-    })
+    _sidecar(
+        windows=window_index if windows is None else windows, kept=summary.kept,
+        diverged=summary.diverged, mean=summary.mean, sd=summary.sd,
+        negative_fraction=summary.negative_fraction,
+    )
     click.echo(
         f"kept={summary.kept} diverged={summary.diverged} "
         f"mean={summary.mean:.6g} sd={summary.sd:.6g} "
@@ -390,7 +371,6 @@ def mc(family, eta, burn_in_epochs, reps, window_index, l, windows, normalized, 
 
 
 @cli.command()
-@config_option
 @click.option("--w", type=int, required=True, help="Number of windows.")
 @click.option("--q", type=float, required=True, help="Verdict threshold fraction.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Optionally also write the value to a file.")
@@ -401,7 +381,7 @@ def qrisk(w, q, out):
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(repr(value) + "\n")
-        _sidecar(out, "qrisk", {"w": w, "q": q, "out": out})
+        _sidecar()
 
 
 # ------------------------------------------------------------- sensitivity
@@ -415,31 +395,24 @@ def _sensitivity_cell(payload):
 
 
 @cli.command()
-@config_option
-@click.option("--problem", "family", type=click.Choice(["linear", "logistic"]), default="linear", show_default=True)
+@run_options
 @click.option("--w-values", callback=_parse_ints, default="10,20,40", show_default=True)
 @click.option("--q-values", callback=_parse_floats, default="0.35,0.4,0.45", show_default=True)
-@click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,1e-3,1e-2,1e-1", show_default=True)
+@etas_option
 @click.option("--seeds", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--epochs", type=int, default=100, show_default=True)
-@click.option("--start", type=click.Choice(list(START_CHOICES)), default="reversed", show_default=True)
-@click.option("--t1-epochs", type=int, default=4, show_default=True)
-@click.option("--gamma", type=float, default=0.5, show_default=True)
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None, help=f"Worker processes (default: ${THREADS_ENV} or 1).")
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def sensitivity(family, w_values, q_values, etas, seeds, epochs, start, t1_epochs, gamma, noise_sd, seed, threads, out):
+@epochs_option
+@schedule_options
+@threads_option
+def sensitivity(problem, noise_sd, seed, out, w_values, q_values, etas, seeds, epochs, start, t1_epochs, gamma, threads):
     """SplitSGD final log loss over the (w, q, eta, seed) grid; window
     length is resized per w so one diagnostic costs one epoch."""
-    threads = _resolve_threads(threads)
-    problem = _make_problem(family, seed, noise_sd)
-    if any(w < 1 or problem.spec.n % w for w in w_values):
-        raise click.UsageError(f"every w must be a positive divisor of n={problem.spec.n}, got {w_values}")
-    base = _start_base(problem, start)
-    base_cfg = SplitSgdConfig(eta=etas[0], t1=t1_epochs * problem.spec.n, gamma=gamma)
+    instance = _make_problem(problem, seed, noise_sd)
+    if any(w < 1 or instance.spec.n % w for w in w_values):
+        raise click.UsageError(f"every w must be a positive divisor of n={instance.spec.n}, got {w_values}")
+    base = start_point(instance.spec, start)
+    base_cfg = SplitSgdConfig(eta=etas[0], t1=t1_epochs * instance.spec.n, gamma=gamma)
     payloads = [
-        (problem, base, base_cfg, w, q, eta, s, seed, epochs)
+        (instance, base, base_cfg, w, q, eta, s, seed, epochs)
         for w in w_values
         for q in q_values
         for eta in etas
@@ -448,13 +421,7 @@ def sensitivity(family, w_values, q_values, etas, seeds, epochs, start, t1_epoch
     results = _pool_map(_sensitivity_cell, payloads, threads)
     rows = sorted((r.w, r.q, r.eta, r.seed, r.final_log_loss) for r in results)
     write_csv(out, ["w", "q", "eta", "seed", "final_log_loss"], rows)
-    _sidecar(out, "sensitivity", {
-        "problem": family, "w_values": ",".join(str(w) for w in w_values),
-        "q_values": ",".join(repr(q) for q in q_values),
-        "etas": ",".join(repr(e) for e in etas), "seeds": seeds, "epochs": epochs,
-        "start": start, "t1_epochs": t1_epochs, "gamma": gamma,
-        "noise_sd": noise_sd, "seed": seed, "threads": threads, "out": out,
-    })
+    _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
@@ -462,20 +429,13 @@ def sensitivity(family, w_values, q_values, etas, seeds, epochs, start, t1_epoch
 
 
 @cli.command("gen-data")
-@config_option
-@click.option("--problem", "family", type=click.Choice(["linear", "logistic"]), default="linear", show_default=True)
+@run_options
 @click.option("--n", type=int, default=1000, show_default=True)
 @click.option("--d", type=int, default=20, show_default=True)
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def gen_data(family, n, d, noise_sd, seed, out):
+def gen_data(problem, noise_sd, seed, out, n, d):
     """Materialize the synthetic dataset as CSV (columns x1..xd,y)."""
-    problem = _make_problem(family, seed, noise_sd, n=n, d=d)
-    write_dataset_csv(problem.dataset, out)
-    _sidecar(out, "gen-data", {
-        "problem": family, "n": n, "d": d, "noise_sd": noise_sd, "seed": seed, "out": out,
-    })
+    write_dataset_csv(_make_problem(problem, seed, noise_sd, n=n, d=d).dataset, out)
+    _sidecar()
     click.echo(f"wrote {n} rows to {out}")
 
 

@@ -1,8 +1,8 @@
 """Numeric primitives shared by the whole toolkit.
 
-Parameter vectors are plain 1-D float64 numpy arrays; this module adds
-their validation helpers, the seeded/forkable random-stream handle, the
-error types and the two SGD loops.  :func:`sgd_steps` steps one iterate
+Parameter vectors are plain 1-D float64 numpy arrays, with no alias type;
+this module adds their validation helpers, the seeded/forkable
+random-stream handle, the error types and the two SGD loops.  :func:`sgd_steps` steps one iterate
 per sample and runs every single-iterate optimizer path: the
 constant-rate, ``1/sqrt(t)`` and halving drivers, SplitSGD's main thread
 and the pflug detector.  :func:`lockstep_windows` steps R iterates side
@@ -22,16 +22,12 @@ __all__ = [
     "DivergenceError",
     "GradientProducts",
     "NumericError",
-    "ParamVector",
     "RngStream",
     "as_param_vector",
     "check_step_size",
     "lockstep_windows",
     "sgd_steps",
 ]
-
-# A parameter vector is just a 1-D float64 ndarray of fixed dimension.
-ParamVector = np.ndarray
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,7 +56,7 @@ class DimensionError(ValueError):
     """A parameter vector does not match the data it is updated with."""
 
 
-def as_param_vector(values, *, require_finite: bool = True) -> ParamVector:
+def as_param_vector(values, *, require_finite: bool = True) -> np.ndarray:
     """Coerce to a 1-D float64 array, validating shape (and finiteness)."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:

@@ -32,10 +32,12 @@ __all__ = [
     "read_dataset_csv",
     "reversed_start",
     "sigmoid",
+    "start_point",
     "write_dataset_csv",
 ]
 
 FAMILIES = ("linear", "logistic")
+START_POINTS = ("reversed", "near-opt")
 
 DEFAULT_N = 1000
 DEFAULT_D = 20
@@ -188,6 +190,14 @@ def reversed_start(spec: ProblemSpec) -> np.ndarray:
     """
     j = np.arange(1, spec.d + 1, dtype=np.float64)
     return 5.0 * np.exp(-(spec.d - j) / 2.0)
+
+
+def start_point(spec: ProblemSpec, start: str) -> np.ndarray:
+    """Base point of a run: the far ``"reversed"`` profile or the optimum
+    (``"near-opt"``); the perturbed start is drawn around it."""
+    if start not in START_POINTS:
+        raise ValueError(f"start must be one of {START_POINTS}, got {start!r}")
+    return reversed_start(spec) if start == "reversed" else spec.theta_star.copy()
 
 
 def perturbed_start(base: np.ndarray, rng: RngStream, noise_sd: float = 0.1) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Optimizer drivers: SplitSGD and the baseline schedules.
 
 All drivers step on the per-sample loop :func:`splitsgd.core.sgd_steps`
-(SplitSGD's diagnostics run in :mod:`splitsgd.diagnostic`), charge budget in "units" (one unit per gradient draw on the main thread;
-a diagnostic is charged w*l units because its two threads conceptually
-run in parallel), and log the full loss once per epoch boundary (an epoch
-is n budget units).  The trace
-additionally carries the true gradient-evaluation count, which includes
-both diagnostic threads (2*w*l per diagnostic).
+(SplitSGD's diagnostics run in :mod:`splitsgd.diagnostic`) and charge
+budget in "units": one unit per gradient draw on the main thread, and
+w*l units per diagnostic, because its two threads conceptually run in
+parallel.  The schedule drivers log the full loss once per epoch boundary
+(an epoch is n budget units) and return a trace that also carries the
+true gradient-evaluation count, which includes both diagnostic threads
+(2*w*l per diagnostic).  The two detectors that ``race`` compares return
+only the epoch of their first detection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +28,6 @@ __all__ = [
     "EVENT_DIAG_S",
     "EVENT_HALVED",
     "EVENT_NONE",
-    "EVENT_PFLUG",
     "DiagnosticEvent",
     "RunTrace",
     "ScheduleState",
@@ -35,7 +36,6 @@ __all__ = [
     "final_log_loss",
     "run_constant_sgd",
     "run_pflug_detection",
-    "run_pflug_trace",
     "run_sgd_half",
     "run_split_detection",
     "run_splitsgd",
@@ -47,7 +47,6 @@ EVENT_NONE = "none"
 EVENT_DIAG_S = "diagnostic-S"
 EVENT_DIAG_N = "diagnostic-N"
 EVENT_HALVED = "lr-halved"
-EVENT_PFLUG = "pflug-detect"
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,7 @@ class SplitSgdConfig:
     gamma: float = 0.5
 
     def __post_init__(self):
-        check_step_size(self.eta)
-        if self.w < 1 or self.l < 1:
-            raise ValueError("w and l must be positive integers")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        DiagnosticConfig(eta=self.eta, w=self.w, l=self.l, q=self.q)
         if self.B < 0:
             raise ValueError("B must be >= 0")
         if self.t1 < 1:
@@ -396,27 +391,6 @@ def run_split_detection(
     return detection
 
 
-def _pflug_loop(
-    problem: Problem,
-    eta: float,
-    theta0: np.ndarray,
-    rng: RngStream,
-    max_epochs: int,
-    record_loss: bool,
-) -> tuple[int | None, np.ndarray, _EpochLog]:
-    check_step_size(eta)
-    theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, max_epochs, record_loss=record_loss)
-    log.log_initial(theta, eta)
-    gen = rng.generator()
-    products = GradientProducts()
-    for epoch in range(1, max_epochs + 1):
-        _run_segment(theta, eta, problem.spec.n, gen, log, products)
-        if products.total < 0.0:
-            return epoch, theta, log
-    return None, theta, log
-
-
 def run_pflug_detection(
     problem: Problem,
     eta: float,
@@ -427,21 +401,13 @@ def run_pflug_detection(
     """Constant-rate SGD with the running sum of consecutive-gradient inner
     products; reports the first epoch boundary where the sum is negative,
     or None when ``max_epochs`` pass without one."""
-    detection, _, _ = _pflug_loop(problem, eta, theta0, rng, max_epochs, record_loss=False)
-    return detection
-
-
-def run_pflug_trace(
-    problem: Problem,
-    eta: float,
-    theta0: np.ndarray,
-    rng: RngStream,
-    max_epochs: int = 1000,
-) -> tuple[int | None, RunTrace]:
-    """Traced variant of :func:`run_pflug_detection`; the record at the
-    detection epoch carries the "pflug-detect" event."""
-    detection, theta, log = _pflug_loop(problem, eta, theta0, rng, max_epochs, record_loss=True)
-    records = log.records
-    if detection is not None and records:
-        records[-1] = replace(records[-1], event=EVENT_PFLUG)
-    return detection, RunTrace(records=records, final_theta=theta, total_evals=log.evals)
+    check_step_size(eta)
+    theta = as_param_vector(theta0).copy()
+    log = _EpochLog(problem, max_epochs, record_loss=False)
+    gen = rng.generator()
+    products = GradientProducts()
+    for epoch in range(1, max_epochs + 1):
+        _run_segment(theta, eta, problem.spec.n, gen, log, products)
+        if products.total < 0.0:
+            return epoch
+    return None

@@ -107,7 +107,7 @@ class TestCoherenceHistogram:
         problem = _problem([[1.0, 2.0]], [3.0])
         study = CoherenceStudy(
             problem=problem, eta=1e-3, replications=25, window_index=2, l=10,
-            start="near-optimum", normalized=True,
+            start="near-opt", normalized=True,
         )
         rows, _ = coherence_histogram(study, RngStream(2))
         values = np.array([value for _, value in rows])
@@ -121,7 +121,7 @@ class TestCoherenceHistogram:
         problem = _problem([[1.0, 2.0], [1.0, 2.0]], [1.0, -1.0])
         study = CoherenceStudy(
             problem=problem, eta=0.0, replications=40, window_index=3, l=1,
-            start="near-optimum", start_noise_sd=0.0, normalized=True,
+            start="near-opt", start_noise_sd=0.0, normalized=True,
         )
         rows, _ = coherence_histogram(study, RngStream(4))
         values = np.array([value for _, value in rows])
@@ -135,7 +135,7 @@ class TestCoherenceHistogram:
         problem = _problem([[1.0, 2.0]], [0.0])
         study = CoherenceStudy(
             problem=problem, eta=1e-2, replications=5, window_index=2, l=3,
-            start="near-optimum", start_noise_sd=0.0, normalized=True,
+            start="near-opt", start_noise_sd=0.0, normalized=True,
         )
         rows, summary = coherence_histogram(study, RngStream(0))
         assert [value for _, value in rows] == [0.0] * 5
@@ -147,7 +147,7 @@ class TestCoherenceHistogram:
         problem = _problem([[1.0, 2.0]], [3.0])
         study = CoherenceStudy(
             problem=problem, eta=1e-3, replications=25, window_index=2, l=10,
-            start="near-optimum",
+            start="near-opt",
         )
         rows, summary = coherence_histogram(study, RngStream(2))
         assert summary.negative_fraction == 0.0

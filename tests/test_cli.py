@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -155,7 +156,7 @@ class TestCompare:
         assert meta["seeds"] == "2"
 
     def test_config_keys_are_flag_names(self, runner, tmp_path):
-        # `--problem` feeds the parameter `family`; the config key is the flag's.
+        # Keys are long flag names, with dashes or underscores.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem=logistic\nmethods=const\netas=1e-3\nepochs=1\nseeds=1\nt1-epochs=2\n")
         out = tmp_path / "cfg.csv"
@@ -209,6 +210,19 @@ class TestCompare:
         )
         assert result.exit_code == 0
         assert _meta(out)["threads"] == "3"
+
+    def test_config_threads_beat_env(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        out = tmp_path / "cfg.csv"
+        result = runner.invoke(
+            cli,
+            ["compare", "--config", str(cfg), "--methods", "const", "--etas", "1e-3",
+             "--epochs", "1", "--seeds", "1", "--out", str(out)],
+            env={"SPLITSGD_THREADS": "3"},
+        )
+        assert result.exit_code == 0, result.output
+        assert _meta(out)["threads"] == "2"
 
     def test_bad_threads_env_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -383,6 +397,8 @@ class TestInputContract:
         ["gen-data", "--noise-sd", "nan"],
         ["compare", "--noise-sd", "inf"],
         ["gen-data", "--noise-sd", "1e308"],
+        ["gen-data", "--seed", "-1"],
+        ["mc", "--seed", str(2**64)],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, runner, tmp_path, args):
         out = tmp_path / "x.csv"
@@ -391,6 +407,42 @@ class TestInputContract:
         assert "Traceback" not in result.output
         assert not out.exists()
         assert not (tmp_path / "x.csv.meta").exists()
+
+
+class TestSidecar:
+    SMALL_RUNS = {
+        "compare": ["--methods", "const", "--etas", "1e-3", "--epochs", "1", "--seeds", "1"],
+        "race": ["--reps", "1", "--max-epochs", "1"],
+        "mc": ["--reps", "3", "--l", "2"],
+        "qrisk": ["--w", "20", "--q", "0.4"],
+        "sensitivity": ["--w-values", "10", "--q-values", "0.4", "--etas", "1e-3",
+                        "--seeds", "1", "--epochs", "1"],
+        "gen-data": ["--n", "5", "--d", "2"],
+    }
+    FIXED = {"artifact", "artifact_version", "schema_version", "command"}
+    MC_SUMMARY = {"kept", "diverged", "mean", "sd", "negative_fraction"}
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_records_every_option(self, runner, tmp_path, command):
+        out = tmp_path / "out.csv"
+        result = runner.invoke(cli, [command, *self.SMALL_RUNS[command], "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        options = {
+            p.name for p in cli.commands[command].params
+            if isinstance(p, click.Option) and p.expose_value
+        }
+        expected = options | self.FIXED | (self.MC_SUMMARY if command == "mc" else set())
+        assert set(_meta(out)) == expected
+
+    def test_qrisk_sidecar_bytes(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(cli, ["qrisk", "--w", "20", "--q", "0.4", "--out", "risk.txt"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "risk.txt").read_bytes() == b"0.13158798217773438\n"
+        assert (tmp_path / "risk.txt.meta").read_bytes() == (
+            b"artifact=splitsgd\nartifact_version=0.1.0\ncommand=qrisk\nout=risk.txt\n"
+            b"q=0.4\nschema_version=1\nw=20\n"
+        )
 
 
 class TestEntryPoints:

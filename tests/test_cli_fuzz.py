@@ -25,7 +25,7 @@ _BAD_INTS = ["-1", "0", "1.5", "nan", str(2**64), "x"]
 _COMMON = {
     "--problem": (["linear", "logistic"], ["cubic"]),
     "--noise-sd": (["0", "1", "2.5"], _BAD_FLOATS),
-    "--seed": (["0", "7"], ["-1", str(2**64), "x"]),
+    "--seed": (["0", "7", str(2**64 - 1)], ["-1", str(2**64), "x"]),
 }
 _SCHEDULE = {
     "--start": (["reversed", "near-opt"], ["far"]),

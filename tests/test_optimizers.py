@@ -20,7 +20,6 @@ from splitsgd.optimizers import (
     EVENT_DIAG_S,
     EVENT_HALVED,
     EVENT_NONE,
-    EVENT_PFLUG,
     RunTrace,
     ScheduleState,
     SplitSgdConfig,
@@ -28,7 +27,6 @@ from splitsgd.optimizers import (
     final_log_loss,
     run_constant_sgd,
     run_pflug_detection,
-    run_pflug_trace,
     run_sgd_half,
     run_split_detection,
     run_splitsgd,
@@ -286,14 +284,6 @@ class TestPflug:
                 problem, 1e-3, reversed_start(spec), RngStream(seed), 5
             )
             assert detection is None
-
-    def test_trace_marks_detection_epoch(self, linear_problem):
-        theta0 = _start(linear_problem, 23)
-        detection, trace = run_pflug_trace(linear_problem, 1e-2, theta0, RngStream(23), 200)
-        assert detection is not None
-        assert trace.records[-1].epoch == detection
-        assert trace.records[-1].event == EVENT_PFLUG
-        assert run_pflug_detection(linear_problem, 1e-2, theta0, RngStream(23), 200) == detection
 
 
 class TestSplitDetection:
