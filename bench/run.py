@@ -6,7 +6,8 @@ Run from the root of a checkout.  For each tree it records:
 
 * layer rows, timed in a fresh interpreter with that tree on ``PYTHONPATH``
   on the default linear problem (d = 20, n = 1000): µs per main-thread
-  step (one epoch of ``core.sgd_steps``), µs per diagnostic gradient eval
+  step (one epoch of ``core.sgd_steps``), µs per pflug step (the same
+  epoch accumulating ``GradientProducts``), µs per diagnostic gradient eval
   (one ``run_diagnostic`` at w = 20, l = 50, and the diagnostic threads of
   a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
   replication-step (``analysis._lockstep_burn_in`` at R = 250), µs per
@@ -14,8 +15,9 @@ Run from the root of a checkout.  For each tree it records:
   (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each interpreter
   giving the median of ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
-  ``compare`` and ``mc-stationary`` benchmark commands, measured by
-  ``perfbench/child.py`` exactly as the benchmark measures them;
+  ``compare`` and ``mc-stationary`` benchmark commands and of a small
+  ``race`` (4 replications, 40 epochs), measured by ``perfbench/child.py``
+  exactly as the benchmark measures them;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0).
 
 Both kinds of rows are timed in pairs: the two trees alternate, one
@@ -56,6 +58,8 @@ COMMANDS = {
         "mc", "--problem", "linear", "--eta", "1e-2", "--burn-in-epochs", "60",
         "--reps", "250", "--window-index", "2", "--raw",
     ],
+    # Not a benchmark workload: pflug's single-iterate loop at R = 1.
+    "race": ["race", "--reps", "4", "--max-epochs", "40", "--threads", "1"],
 }
 
 LAYERS = r"""
@@ -63,7 +67,7 @@ import json, os, statistics, sys, tempfile, time
 import numpy as np
 from splitsgd._csvio import write_csv
 from splitsgd.analysis import CoherenceStudy, _lockstep_burn_in, coherence_histogram
-from splitsgd.core import RngStream, sgd_steps
+from splitsgd.core import GradientProducts, RngStream, sgd_steps
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
 from splitsgd.objectives import build_problem, full_loss, make_default_spec, reversed_start
 
@@ -84,6 +88,9 @@ start = reversed_start(spec)
 n = ds.features.shape[0]
 step = median_time(lambda k: sgd_steps(
     ds.features, ds.targets, "linear", start.copy(), 1e-2, n, RngStream(k).generator()))
+pflug = median_time(lambda k: sgd_steps(
+    ds.features, ds.targets, "linear", start.copy(), 1e-2, n, RngStream(k).generator(),
+    products=GradientProducts()))
 cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)
 one = median_time(lambda k: run_diagnostic(problem, start, cfg, RngStream(k)))
 study = CoherenceStudy(problem=problem, eta=1e-2, window_index=2, windows=20, replications=40)
@@ -102,6 +109,7 @@ with tempfile.TemporaryDirectory() as tmp:
     csv_s = median_time(lambda k: write_csv(path, ["method", "eta", "seed", "final_log_loss"], rows))
 print(json.dumps({
     "main_thread_us_per_step": 1e6 * step / n,
+    "pflug_us_per_step": 1e6 * pflug / n,
     "diagnostic_us_per_eval": 1e6 * one / (2 * cfg.w * cfg.l),
     "mc_diagnostic_us_per_eval": 1e6 * many / (2 * 40 * 20 * 50),
     "burn_in_ns_per_rep_step": 1e9 * burn_s / (R * steps),

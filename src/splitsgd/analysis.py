@@ -231,7 +231,8 @@ def type1_error_probability(query: QRiskQuery) -> float:
         if not i < query.q * query.w:
             break
         total += math.comb(query.w, i)
-    return total / 2.0**query.w
+    # An int/int quotient is correctly rounded; 2.0**w overflows past w = 1023.
+    return total / (1 << query.w)
 
 
 @dataclass(frozen=True)

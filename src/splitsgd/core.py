@@ -2,18 +2,23 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays, with no alias type;
 this module adds their validation helpers, the seeded/forkable
-random-stream handle, the error types and the two SGD loops.  :func:`sgd_steps` steps one iterate
-per sample and runs every single-iterate optimizer path: the
-constant-rate, ``1/sqrt(t)`` and halving drivers, SplitSGD's main thread
-and the pflug detector.  :func:`lockstep_windows` steps R iterates side
-by side, each on its own stream, and runs every two-thread diagnostic;
-each of its rows is bit-identical to the same row stepped alone.
+random-stream handle, the error types and the two SGD loops.
+:func:`sgd_steps` steps one iterate per sample and runs every
+single-iterate optimizer path: the constant-rate, ``1/sqrt(t)`` and
+halving drivers, SplitSGD's main thread and the pflug detector.  Its step
+allocates nothing: one ``ddot`` for ``x.theta``, the residual and
+``eta * r`` in Python floats, then ``theta - (eta * r) * x`` as two ufunc
+calls into buffers made once per call.  :func:`lockstep_windows` steps R
+iterates side by side, each on its own stream, and runs every two-thread
+diagnostic; each of its rows is bit-identical to the same row stepped
+alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
@@ -152,8 +157,9 @@ def sgd_steps(
 
     Each step draws a row index uniformly with replacement from ``gen``,
     forms that datum's residual r (``x.theta - y``, or ``sigmoid(x.theta) - y``
-    for the logistic family) and updates ``theta -= (eta * r) * x``.
-    ``eta`` is one step size, or an array holding one per step.
+    for the logistic family) and updates ``theta -= (eta * r) * x``,
+    rounded elementwise as written.  ``eta`` is one step size, or an array
+    holding (at least) one per step.
 
     ``products`` accumulates the inner products of consecutive gradients.
 
@@ -161,31 +167,39 @@ def sgd_steps(
     ``step`` is ``first_step`` plus the index of the draw in this call.  An
     iterate that overflows on the last step is left for the caller to check.
     """
-    if theta.shape != (features.shape[1],):
-        raise DimensionError(f"parameter shape {theta.shape} != data dimension {features.shape[1]}")
-    n = features.shape[0]
+    n, d = features.shape
+    if theta.shape != (d,):
+        raise DimensionError(f"parameter shape {theta.shape} != data dimension {d}")
+    if isinstance(eta, np.ndarray) and eta.shape[0] < steps:
+        raise ValueError(f"{eta.shape[0]} step sizes for {steps} steps")
     linear = family == "linear"
-    rates = eta if isinstance(eta, np.ndarray) else None
+    ys = targets.tolist()
+    etas = iter(eta.tolist()) if isinstance(eta, np.ndarray) else repeat(float(eta))
+    numbers = count(first_step)
+    scale, step = np.empty(()), np.empty(d)
+    multiply, subtract, isfinite = np.multiply, np.subtract, math.isfinite
     if products is not None:
         total, prev_r, prev_x = products.total, products.prev_r, products.prev_x
-    done = 0
     # Overflow on a blown-up iterate is the divergence signal, not an
     # anomaly: the next residual goes non-finite and raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < steps:
-            k = min(_CHUNK, steps - done)
-            for j, i in enumerate(gen.integers(0, n, size=k).tolist()):
+        for done in range(0, steps, _CHUNK):
+            # The index list runs out first, so zip draws no step number or
+            # rate past the chunk's last step.
+            drawn = gen.integers(0, n, size=min(_CHUNK, steps - done)).tolist()
+            for i, t, e in zip(drawn, numbers, etas):
                 x = features[i]
-                z = x.dot(theta)
-                r = z - targets[i] if linear else _sigmoid_scalar(z) - targets[i]
-                if not math.isfinite(r):
-                    raise DivergenceError("iterate diverged", step=first_step + done + j)
+                z = float(x.dot(theta))
+                r = z - ys[i] if linear else _sigmoid_scalar(z) - ys[i]
+                if not isfinite(r):
+                    raise DivergenceError("iterate diverged", step=t)
                 if products is not None:
                     if prev_x is not None:
                         total += (r * prev_r) * x.dot(prev_x)
                     prev_r, prev_x = r, x
-                theta -= ((eta if rates is None else rates[done + j]) * r) * x
-            done += k
+                scale[()] = e * r
+                multiply(x, scale, step)
+                subtract(theta, step, theta)
     if products is not None:
         products.total, products.prev_r, products.prev_x = total, prev_r, prev_x
 
@@ -241,16 +255,16 @@ def lockstep_windows(
                     k = min(chunk, steps - i * l - j)
                     for row, gen in enumerate(gens):
                         idx[:k, row] = gen.integers(0, n, size=k)
+                    ys = targets.take(idx[:k])
                     c = 0
-                rows = idx[c]
-                c += 1
-                x = features.take(rows, axis=0)
+                x = features.take(idx[c], axis=0)
                 z = np.vecdot(x, thetas)
                 if not linear:
                     # math.exp, not np.exp: the two differ in the last bit.
                     z = np.fromiter(map(_sigmoid_scalar, z.tolist()), np.float64, n_rows)
                 r = resid[j]
-                np.subtract(z, targets.take(rows), out=r)
+                np.subtract(z, ys[c], out=r)
+                c += 1
                 x *= r[:, None]
                 window += x
                 x *= eta

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -65,6 +66,14 @@ class TestType1Error:
         long = type1_error_probability(QRiskQuery(w=75, q=0.4))
         assert short == 176 / 1024
         assert long < short
+
+    @pytest.mark.parametrize("w", [1024, 2000])
+    def test_window_count_past_float_range(self, w):
+        # 2**w is past the largest float here; the probability is still the
+        # correctly rounded fraction of sign patterns.
+        total = sum(math.comb(w, i) for i in range(w + 1) if i < 0.4 * w)
+        value = type1_error_probability(QRiskQuery(w=w, q=0.4))
+        assert 0.0 < value == float(Fraction(total, 2**w))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -65,7 +65,7 @@ COMMANDS = {
          "--start-noise-sd": (["0", "0.1"], _BAD_FLOATS)},
     ),
     "qrisk": (
-        {"--w": (["1", "5", "20", "60"], ["0", "-1", "x"]),
+        {"--w": (["1", "5", "20", "60", "2000"], ["0", "-1", "x"]),
          "--q": (["0", "0.4", "1"], ["1.5", *_BAD_FLOATS])},
         {},
     ),

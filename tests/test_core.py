@@ -98,28 +98,37 @@ class TestSgdStep:
         assert whole_sum.total == split_sum.total
 
     def test_consecutive_gradient_products(self):
-        # Literal sum of <g_t, g_(t-1)> over a short run, replayed by hand.
-        features, targets = _data(10)
-        theta, products = np.zeros(3), GradientProducts()
-        sgd_steps(features, targets, "linear", theta, 1e-2, 6, RngStream(11).generator(),
-                  products=products)
-        replay, grads = np.zeros(3), []
-        for i in RngStream(11).generator().integers(0, 7, size=6):
-            g = (np.dot(features[i], replay) - targets[i]) * features[i]
-            grads.append(g)
-            replay -= 1e-2 * g
-        expected = sum(float(np.dot(a, b)) for a, b in zip(grads[1:], grads))
-        assert products.total == pytest.approx(expected, rel=1e-12)
+        # Iterate and the sum of <g_t, g_(t-1)> over more than two index
+        # chunks equal a per-step replay, bit for bit, on both families.
+        steps = 2 * core._CHUNK + 1
+        for family in ("linear", "logistic"):
+            features, targets = _data(10)
+            theta, products = np.zeros(3), GradientProducts()
+            sgd_steps(features, targets, family, theta, 1e-2, steps, RngStream(11).generator(),
+                      products=products)
+            replay, total = _replay_steps(features, targets, family, np.zeros(3), [1e-2] * steps,
+                                          RngStream(11).generator())
+            assert np.array_equal(theta, replay), family
+            assert products.total == total, family
 
     def test_per_step_rates(self):
+        # Rate t applies to draw t, across index chunks, on both families.
+        steps = 2 * core._CHUNK + 1
+        rates = 0.3 / np.sqrt(np.arange(1, steps + 1))
+        rates[::7] = 0.0
+        for family in ("linear", "logistic"):
+            features, targets = _data(12)
+            stepped = np.ones(3)
+            sgd_steps(features, targets, family, stepped, rates, steps, RngStream(13).generator())
+            replay, _ = _replay_steps(features, targets, family, np.ones(3), rates,
+                                      RngStream(13).generator())
+            assert np.array_equal(stepped, replay), family
+
+    def test_too_few_rates_rejected(self):
         features, targets = _data(12)
-        rates = np.array([0.3, 0.0, 0.1])
-        stepped = np.ones(3)
-        sgd_steps(features, targets, "linear", stepped, rates, 3, RngStream(13).generator())
-        replay = np.ones(3)
-        for eta, i in zip(rates, RngStream(13).generator().integers(0, 7, size=3)):
-            replay -= (eta * (np.dot(features[i], replay) - targets[i])) * features[i]
-        assert np.array_equal(stepped, replay)
+        with pytest.raises(ValueError):
+            sgd_steps(features, targets, "linear", np.ones(3), np.full(2, 0.1), 3,
+                      RngStream(13).generator())
 
     def test_negative_eta_rejected(self):
         check_step_size(0.0)
@@ -147,6 +156,26 @@ class TestSgdStep:
             sgd_steps(np.array([[1e154]]), _vec(0.0), "linear", _vec(1e154), 10.0, 3,
                       RngStream(0).generator())
         assert excinfo.value.step == 1
+
+
+def _replay_steps(features, targets, family, theta, rates, gen):
+    """Single-sample SGD replayed draw by draw, apart from the package:
+    (final iterate, running sum of consecutive gradient products)."""
+    theta = theta.copy()
+    total, prev_r, prev_x = 0.0, 0.0, None
+    for eta in rates:
+        i = gen.integers(0, features.shape[0])
+        x = features[i]
+        z = x.dot(theta)
+        if family == "linear":
+            r = z - targets[i]
+        else:
+            r = 1.0 / (1.0 + math.exp(-float(np.clip(z, -40.0, 40.0)))) - targets[i]
+        if prev_x is not None:
+            total += (r * prev_r) * x.dot(prev_x)
+        prev_r, prev_x = r, x
+        theta -= (eta * r) * x
+    return theta, total
 
 
 def _reference_thread(features, targets, family, theta, eta, windows, l, gen):
