@@ -10,8 +10,9 @@ Run from the root of a checkout.  For each tree it records:
   epoch accumulating ``GradientProducts``), µs per diagnostic gradient eval
   (one ``run_diagnostic`` at w = 20, l = 50, and the diagnostic threads of
   a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
-  replication-step (``analysis._lockstep_burn_in`` at R = 250), µs per
-  epoch loss record (``objectives.full_loss``) and µs per CSV row written
+  replication-step (``core.lockstep_steps`` without windows at R = 250, on
+  the linear and on the default logistic problem), µs per epoch loss
+  record (``objectives.full_loss``) and µs per CSV row written
   (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each interpreter
   giving the median of ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
@@ -66,10 +67,14 @@ LAYERS = r"""
 import json, os, statistics, sys, tempfile, time
 import numpy as np
 from splitsgd._csvio import write_csv
-from splitsgd.analysis import CoherenceStudy, _lockstep_burn_in, coherence_histogram
+from splitsgd.analysis import CoherenceStudy, coherence_histogram
 from splitsgd.core import GradientProducts, RngStream, sgd_steps
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
 from splitsgd.objectives import build_problem, full_loss, make_default_spec, reversed_start
+try:
+    from splitsgd.core import lockstep_steps as burn_in
+except ImportError:  # a tree from before the burn-in ran on the diagnostic loop
+    from splitsgd.analysis import _lockstep_burn_in as burn_in
 
 repeats = int(sys.argv[1])
 spec = make_default_spec("linear", RngStream(0))
@@ -96,11 +101,15 @@ one = median_time(lambda k: run_diagnostic(problem, start, cfg, RngStream(k)))
 study = CoherenceStudy(problem=problem, eta=1e-2, window_index=2, windows=20, replications=40)
 many = median_time(lambda k: coherence_histogram(study, RngStream(k)))
 R, steps = 250, 2000
-def burn(k):
-    thetas = np.tile(start, (R, 1))
-    gens = [RngStream(k).fork(r).generator() for r in range(R)]
-    _lockstep_burn_in(ds.features, ds.targets, "linear", thetas, 1e-2, steps, gens)
-burn_s = median_time(burn)
+def burn_time(family):
+    problem = build_problem(make_default_spec(family, RngStream(0)))
+    data, base = problem.dataset, reversed_start(problem.spec)
+    def burn(k):
+        thetas = np.tile(base, (R, 1))
+        gens = [RngStream(k).fork(r).generator() for r in range(R)]
+        burn_in(data.features, data.targets, family, thetas, 1e-2, steps, gens)
+    return median_time(burn)
+burn_s, logistic_burn_s = burn_time("linear"), burn_time("logistic")
 LOSSES = 100
 loss_s = median_time(lambda k: [full_loss(ds, "linear", start) for _ in range(LOSSES)])
 rows = [("const", 10.0 ** -(i % 6), i, 1.0 / (i + 3)) for i in range(1000)]
@@ -113,6 +122,7 @@ print(json.dumps({
     "diagnostic_us_per_eval": 1e6 * one / (2 * cfg.w * cfg.l),
     "mc_diagnostic_us_per_eval": 1e6 * many / (2 * 40 * 20 * 50),
     "burn_in_ns_per_rep_step": 1e9 * burn_s / (R * steps),
+    "logistic_burn_in_ns_per_rep_step": 1e9 * logistic_burn_s / (R * steps),
     "full_loss_us_per_record": 1e6 * loss_s / LOSSES,
     "csv_us_per_row": 1e6 * csv_s / len(rows),
 }))

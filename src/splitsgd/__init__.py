@@ -3,13 +3,14 @@
 The package bundles:
 
 * the per-sample SGD loop that every single-iterate path runs on, the
-  random streams and the error types (:mod:`splitsgd.core`),
+  lockstep loop that runs the Monte-Carlo burn-in and every diagnostic,
+  the random streams and the error types (:mod:`splitsgd.core`),
 * synthetic linear / logistic regression benchmarks with per-datum and
   full losses and gradients (:mod:`splitsgd.objectives`),
 * the two-thread gradient-coherence diagnostic (:mod:`splitsgd.diagnostic`),
 * the adaptive step-size schedule built on it plus baseline schedules
   (:mod:`splitsgd.optimizers`),
-* Monte-Carlo and grid studies of the diagnostic (:mod:`splitsgd.analysis`),
+* Monte-Carlo studies of the diagnostic (:mod:`splitsgd.analysis`),
 * a CSV-producing CLI (:mod:`splitsgd.cli`, installed as ``splitsgd``).
 
 All randomness flows through :class:`splitsgd.core.RngStream`, a
@@ -41,7 +42,7 @@ from .optimizers import (
     run_sqrt_decay_sgd,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DimensionError",

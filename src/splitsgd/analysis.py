@@ -1,38 +1,27 @@
-"""Monte-Carlo studies of the diagnostic and the schedule.
+"""Monte-Carlo studies of the diagnostic.
 
-Three tools: the coherence histogram (distribution of one window's
-coherence across seeded replications of burn-in + diagnostic), the exact
-sign-flip model of the false-stationarity probability, and one cell of the
-(w, q, eta) sensitivity grid of SplitSGD final losses.
+Two tools: the coherence histogram (distribution of one window's
+coherence across seeded replications of burn-in + diagnostic, all
+replications stepped in lockstep by :func:`splitsgd.core.lockstep_steps`)
+and the exact sign-flip model of the false-stationarity probability.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, RngStream, check_step_size
+from .core import RngStream, check_step_size, lockstep_steps
 from .diagnostic import DiagnosticConfig, _two_thread_window_means
-from .objectives import (
-    Problem,
-    ProblemSpec,
-    build_problem,
-    perturbed_start,
-    reversed_start,
-    sigmoid,
-    start_point,
-)
-from .optimizers import SplitSgdConfig, final_log_loss, run_splitsgd
+from .objectives import Problem, ProblemSpec, build_problem, perturbed_start, start_point
 
 __all__ = [
     "CoherenceStudy",
     "CoherenceSummary",
-    "GridRow",
     "QRiskQuery",
     "coherence_histogram",
-    "run_grid_cell",
     "type1_error_probability",
 ]
 
@@ -40,9 +29,6 @@ __all__ = [
 _CHILD_START = 0
 _CHILD_BURN_IN = 1
 _CHILD_DIAGNOSTIC = 2
-
-# Burn-in steps whose indices are drawn per replication in one go.
-_BURN_IN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -93,42 +79,6 @@ class CoherenceSummary:
     negative_fraction: float
 
 
-def _lockstep_burn_in(
-    features: np.ndarray,
-    targets: np.ndarray,
-    family: str,
-    thetas: np.ndarray,
-    eta: float,
-    steps: int,
-    gens: list[np.random.Generator],
-) -> np.ndarray:
-    """Advance all replications in lockstep; returns the finite-row mask.
-
-    Each replication draws its indices from its own stream, so the result
-    per replication is independent of the batching across replications.
-    """
-    if steps <= 0:
-        return np.isfinite(thetas).all(axis=1)
-    n = features.shape[0]
-    n_rep = thetas.shape[0]
-    linear = family == "linear"
-    idx = np.empty((_BURN_IN_CHUNK, n_rep), dtype=np.int64)
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < steps:
-            k = min(_BURN_IN_CHUNK, steps - done)
-            for r, gen in enumerate(gens):
-                idx[:k, r] = gen.integers(0, n, size=k)
-            for rows in idx[:k]:
-                xb = features.take(rows, axis=0)
-                z = np.einsum("rd,rd->r", xb, thetas)
-                resid = (z if linear else sigmoid(z)) - targets.take(rows)
-                xb *= (eta * resid)[:, None]
-                thetas -= xb
-            done += k
-    return np.isfinite(thetas).all(axis=1)
-
-
 def coherence_histogram(
     study: CoherenceStudy, rng: RngStream
 ) -> tuple[list[tuple[int, float]], CoherenceSummary]:
@@ -156,7 +106,7 @@ def coherence_histogram(
             for stream in rep_streams
         ]
     )
-    finite = _lockstep_burn_in(
+    _, failed = lockstep_steps(
         dataset.features,
         dataset.targets,
         spec.family,
@@ -166,7 +116,7 @@ def coherence_histogram(
         [stream.fork(_CHILD_BURN_IN).generator() for stream in rep_streams],
     )
 
-    kept_reps = np.flatnonzero(finite)
+    kept_reps = np.flatnonzero(failed < 0)
     means, _, failed = _two_thread_window_means(
         problem,
         thetas[kept_reps],
@@ -222,56 +172,17 @@ class QRiskQuery:
 def type1_error_probability(query: QRiskQuery) -> float:
     """P(fewer than q*w of w fair coin flips are negative), exactly.
 
-    Integer binomial sums; the comparison `i < q*w` is the float complement
-    of the decision rule's `count >= q*w`, so calculator and rule agree on
-    boundary cases.  q = 0 gives an empty sum, hence 0.
+    Integer binomial sums, each coefficient made from the one before it;
+    the comparison `i < q*w` is the float complement of the decision
+    rule's `count >= q*w`, so calculator and rule agree on boundary cases.
+    q = 0 gives an empty sum, hence 0.
     """
-    total = 0
-    for i in range(query.w + 1):
-        if not i < query.q * query.w:
+    w = query.w
+    total, c = 0, 1
+    for i in range(w + 1):
+        if not i < query.q * w:
             break
-        total += math.comb(query.w, i)
+        total += c
+        c = c * (w - i) // (i + 1)
     # An int/int quotient is correctly rounded; 2.0**w overflows past w = 1023.
-    return total / (1 << query.w)
-
-
-@dataclass(frozen=True)
-class GridRow:
-    w: int
-    q: float
-    eta: float
-    seed: int
-    final_log_loss: float
-
-
-def run_grid_cell(
-    problem: Problem,
-    base_config: SplitSgdConfig,
-    w: int,
-    q: float,
-    eta: float,
-    seed: int,
-    rng: RngStream,
-    budget_epochs: int,
-    start_base: np.ndarray | None = None,
-    start_noise_sd: float = 0.1,
-) -> GridRow:
-    """One SplitSGD run for one (w, q, eta, seed) cell.
-
-    l is recomputed so w*l = n (one epoch per diagnostic); divergence is
-    recorded as +inf final log loss.  ``rng`` is the per-seed stream, so
-    cells sharing a seed share the start point and draw sequence.
-    """
-    n = problem.spec.n
-    if n % w != 0:
-        raise ValueError(f"w={w} does not divide n={n}; cannot size windows to one epoch")
-    cfg = replace(base_config, eta=eta, w=w, l=n // w, q=q)
-    if start_base is None:
-        start_base = reversed_start(problem.spec)
-    theta0 = perturbed_start(start_base, rng.fork(_CHILD_START), start_noise_sd)
-    try:
-        trace = run_splitsgd(problem, cfg, theta0, rng.fork(_CHILD_BURN_IN), budget_epochs)
-        value = final_log_loss(trace)
-    except DivergenceError:
-        value = math.inf
-    return GridRow(w=w, q=q, eta=eta, seed=seed, final_log_loss=value)
+    return total / (1 << w)

@@ -28,7 +28,6 @@ from .analysis import (
     CoherenceStudy,
     QRiskQuery,
     coherence_histogram,
-    run_grid_cell,
     type1_error_probability,
 )
 from .core import DivergenceError, NumericError, RngStream
@@ -387,13 +386,6 @@ def qrisk(w, q, out):
 # ------------------------------------------------------------- sensitivity
 
 
-def _sensitivity_cell(payload):
-    (problem, base, base_cfg, w, q, eta, s, master_seed, epochs) = payload
-    stream = _experiment_stream(master_seed).fork(s)
-    row = run_grid_cell(problem, base_cfg, w, q, eta, s, stream, epochs, start_base=base)
-    return row
-
-
 @cli.command()
 @run_options
 @click.option("--w-values", callback=_parse_ints, default="10,20,40", show_default=True)
@@ -405,21 +397,30 @@ def _sensitivity_cell(payload):
 @threads_option
 def sensitivity(problem, noise_sd, seed, out, w_values, q_values, etas, seeds, epochs, start, t1_epochs, gamma, threads):
     """SplitSGD final log loss over the (w, q, eta, seed) grid; window
-    length is resized per w so one diagnostic costs one epoch."""
+    length is resized per w so one diagnostic costs one epoch.  Each cell
+    is the ``compare`` splitsgd cell with the same w, l = n / w and q."""
     instance = _make_problem(problem, seed, noise_sd)
-    if any(w < 1 or instance.spec.n % w for w in w_values):
-        raise click.UsageError(f"every w must be a positive divisor of n={instance.spec.n}, got {w_values}")
+    n = instance.spec.n
+    if any(w < 1 or n % w for w in w_values):
+        raise click.UsageError(f"every w must be a positive divisor of n={n}, got {w_values}")
     base = start_point(instance.spec, start)
-    base_cfg = SplitSgdConfig(eta=etas[0], t1=t1_epochs * instance.spec.n, gamma=gamma)
-    payloads = [
-        (instance, base, base_cfg, w, q, eta, s, seed, epochs)
+    t1 = t1_epochs * n
+    configs = [
+        SplitSgdConfig(eta=etas[0], w=w, l=n // w, q=q, t1=t1, gamma=gamma)
         for w in w_values
         for q in q_values
+    ]
+    payloads = [
+        (instance, base, "splitsgd", eta, s, seed, epochs, t1, cfg)
+        for cfg in configs
         for eta in etas
         for s in range(seeds)
     ]
-    results = _pool_map(_sensitivity_cell, payloads, threads)
-    rows = sorted((r.w, r.q, r.eta, r.seed, r.final_log_loss) for r in results)
+    results = _pool_map(_compare_cell, payloads, threads)
+    rows = sorted(
+        (cfg.w, cfg.q, eta, s, value)
+        for (*_, cfg), (_, eta, s, value) in zip(payloads, results)
+    )
     write_csv(out, ["w", "q", "eta", "seed", "final_log_loss"], rows)
     _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")

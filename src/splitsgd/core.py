@@ -8,10 +8,13 @@ single-iterate optimizer path: the constant-rate, ``1/sqrt(t)`` and
 halving drivers, SplitSGD's main thread and the pflug detector.  Its step
 allocates nothing: one ``ddot`` for ``x.theta``, the residual and
 ``eta * r`` in Python floats, then ``theta - (eta * r) * x`` as two ufunc
-calls into buffers made once per call.  :func:`lockstep_windows` steps R
-iterates side by side, each on its own stream, and runs every two-thread
-diagnostic; each of its rows is bit-identical to the same row stepped
-alone.
+calls into buffers made once per call.  :func:`lockstep_steps` steps R
+iterates side by side, each on its own stream, and runs the ``mc``
+burn-in of all replications and every two-thread diagnostic, adding up
+window gradient sums for the latter; each of its rows is bit-identical
+to the same row stepped alone.  Both loops use the same residual; they
+round the update differently (see :func:`lockstep_steps`), and
+``sgd_steps`` stays the faster of the two at R = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
     "RngStream",
     "as_param_vector",
     "check_step_size",
-    "lockstep_windows",
+    "lockstep_steps",
     "sgd_steps",
 ]
 
@@ -205,75 +208,86 @@ def sgd_steps(
 
 
 # A lockstep index buffer holds at most this many steps per row and this
-# many indices in all, so its memory stays small at any row count.
+# many indices in all, so its memory stays small at any row count; the
+# residuals are held, and checked for finiteness, a block of steps at a time.
 _LOCKSTEP_STEPS = 512
-_LOCKSTEP_INDICES = 1 << 14
+_LOCKSTEP_INDICES = 1 << 18
+_LOCKSTEP_BLOCK = 64
 
 
-def lockstep_windows(
+def lockstep_steps(
     features: np.ndarray,
     targets: np.ndarray,
     family: str,
     thetas: np.ndarray,
     eta: float,
-    windows: int,
-    l: int,
+    steps: int,
     gens: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``windows * l`` single-sample SGD steps on every row of ``thetas``
-    in place, row r drawing its indices from ``gens[r]``.
+    l: int | None = None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Run ``steps`` single-sample SGD steps on every row of ``thetas`` in
+    place, row r drawing its indices from ``gens[r]``.
 
     Each step forms the residual r as :func:`sgd_steps` does and the
-    sampled gradient ``g = r * x``, adds g to the row's window sum and
-    updates ``theta -= eta * g`` (which rounds differently from the plain
-    ``(eta * r) * x``).  Returns ``(sums, failed)``: ``sums[i, r]`` is row
-    r's gradient sum over window i, and ``failed[r]`` the step of the row's
-    first non-finite residual, ``windows * l - 1`` if only its final
-    iterate is non-finite, or -1 if it stayed finite.  A failed row keeps
-    stepping until every row has failed; its sums and iterate are
-    meaningless.
+    sampled gradient ``g = r * x``, and updates ``theta -= eta * g`` (which
+    rounds differently from the plain ``(eta * r) * x``).  Returns
+    ``(sums, failed)``.  With a window length ``l`` (``steps`` a multiple
+    of it), ``sums[i, r]`` is row r's gradient sum over window i (steps
+    ``i*l`` to ``(i+1)*l - 1``); without one, ``sums`` is None.
+    ``failed[r]`` is the step of the row's first non-finite residual,
+    ``max(steps - 1, 0)`` if only its final iterate is non-finite, or -1
+    if it stayed finite.  A failed row keeps stepping until every row has
+    failed; its sums and iterate are meaningless.
     """
     n_rows, d = thetas.shape
     if d != features.shape[1]:
         raise DimensionError(f"parameter dimension {d} != data dimension {features.shape[1]}")
     n = features.shape[0]
     linear = family == "linear"
-    steps = windows * l
-    chunk = min(_LOCKSTEP_STEPS, steps, max(1, _LOCKSTEP_INDICES // max(n_rows, 1)))
+    chunk = min(_LOCKSTEP_STEPS, max(steps, 1), max(1, _LOCKSTEP_INDICES // max(n_rows, 1)))
     idx = np.empty((chunk, n_rows), dtype=np.int64)
-    sums = np.zeros((windows, n_rows, d))
-    resid = np.empty((l, n_rows))
+    resid = np.empty((min(_LOCKSTEP_BLOCK, chunk), n_rows))
+    sums = None if l is None else np.zeros((steps // l, n_rows, d))
     failed = np.full(n_rows, -1, dtype=np.int64)
-    c = chunk
+    clip, negative, subtract, divide = np.clip, np.negative, np.subtract, np.divide
+    exp = math.exp
     # Overflow on a blown-up iterate is the divergence signal: it shows up
-    # as a non-finite residual, checked once per window.
+    # as a non-finite residual, checked once per block.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(windows):
-            window = sums[i]
-            for j in range(l):
-                if c == chunk:
-                    k = min(chunk, steps - i * l - j)
-                    for row, gen in enumerate(gens):
-                        idx[:k, row] = gen.integers(0, n, size=k)
-                    ys = targets.take(idx[:k])
-                    c = 0
-                x = features.take(idx[c], axis=0)
-                z = np.vecdot(x, thetas)
-                if not linear:
-                    # math.exp, not np.exp: the two differ in the last bit.
-                    z = np.fromiter(map(_sigmoid_scalar, z.tolist()), np.float64, n_rows)
-                r = resid[j]
-                np.subtract(z, ys[c], out=r)
-                c += 1
-                x *= r[:, None]
-                window += x
-                x *= eta
-                thetas -= x
-            bad = ~np.isfinite(resid)
-            if bad.any():
-                new = bad.any(axis=0) & (failed < 0)
-                failed[new] = i * l + bad[:, new].argmax(axis=0)
-                if (failed >= 0).all():
-                    break
-    failed[(failed < 0) & ~np.isfinite(thetas).all(axis=1)] = steps - 1
+        for done in range(0, steps, chunk):
+            k = min(chunk, steps - done)
+            for row, gen in enumerate(gens):
+                idx[:k, row] = gen.integers(0, n, size=k)
+            for first in range(0, k, resid.shape[0]):
+                # Each block row holds its targets until the residual
+                # overwrites them.
+                block = resid[: min(resid.shape[0], k - first)]
+                targets.take(idx[first : first + block.shape[0]], out=block)
+                for j, r in enumerate(block):
+                    t = done + first + j
+                    if sums is not None and t % l == 0:
+                        window = sums[t // l]
+                    x = features.take(idx[first + j], axis=0)
+                    z = np.vecdot(x, thetas)
+                    if not linear:
+                        # _sigmoid_scalar's operations, elementwise; math.exp,
+                        # not np.exp: the two differ in the last bit.
+                        clip(z, -40.0, 40.0, out=z)
+                        negative(z, out=z)
+                        z = np.fromiter(map(exp, z.tolist()), np.float64, n_rows)
+                        z += 1.0
+                        divide(1.0, z, out=z)
+                    subtract(z, r, out=r)
+                    x *= r[:, None]
+                    if sums is not None:
+                        window += x
+                    x *= eta
+                    thetas -= x
+                bad = ~np.isfinite(block)
+                if bad.any():
+                    new = bad.any(axis=0) & (failed < 0)
+                    failed[new] = done + first + bad[:, new].argmax(axis=0)
+                    if (failed >= 0).all():
+                        return sums, failed
+    failed[(failed < 0) & ~np.isfinite(thetas).all(axis=1)] = max(steps - 1, 0)
     return sums, failed

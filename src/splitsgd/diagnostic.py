@@ -2,8 +2,9 @@
 
 From a common starting point, two SGD threads run on independent sample
 streams, side by side as two rows of the lockstep loop
-(:func:`splitsgd.core.lockstep_windows`); the Monte-Carlo histogram runs
-the threads of all its replications as the rows of one such call.  Each
+(:func:`splitsgd.core.lockstep_steps`, which also runs the Monte-Carlo
+burn-in); the Monte-Carlo histogram runs the threads of all its
+replications as the rows of one such call.  Each
 thread's trajectory is cut into w windows of l steps and the sampled
 gradients are averaged per window; the inner products of paired window
 means ("gradient coherences") stay positive while both threads descend a
@@ -33,7 +34,7 @@ from .core import (
     RngStream,
     as_param_vector,
     check_step_size,
-    lockstep_windows,
+    lockstep_steps,
 )
 from .objectives import Problem
 
@@ -104,15 +105,15 @@ def _two_thread_window_means(
     Returns ``(means, thetas, failed)`` indexed by thread 0/1 and row:
     ``means[i, k, r]`` is the window-i gradient mean, ``thetas[k, r]`` the
     final iterate and ``failed[k, r]`` the divergence step, -1 if none
-    (see :func:`splitsgd.core.lockstep_windows`).
+    (see :func:`splitsgd.core.lockstep_steps`).
     """
     n_rows, d = thetas_in.shape
     thetas = np.concatenate([thetas_in, thetas_in], dtype=np.float64)
     gens = [rng.fork(k).generator() for k in (1, 2) for rng in rngs]
     dataset = problem.dataset
-    sums, failed = lockstep_windows(
+    sums, failed = lockstep_steps(
         dataset.features, dataset.targets, problem.spec.family, thetas, cfg.eta,
-        cfg.w, cfg.l, gens,
+        cfg.w * cfg.l, gens, cfg.l,
     )
     sums /= cfg.l
     return (

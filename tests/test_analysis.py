@@ -1,7 +1,6 @@
-"""Monte-Carlo studies, false-trigger probabilities, and sensitivity-grid cells."""
+"""Monte-Carlo studies and false-trigger probabilities."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,19 +11,11 @@ from splitsgd.analysis import (
     CoherenceStudy,
     QRiskQuery,
     coherence_histogram,
-    run_grid_cell,
     type1_error_probability,
 )
 from splitsgd.core import RngStream
 from splitsgd.diagnostic import decide
-from splitsgd.objectives import (
-    Dataset,
-    Problem,
-    ProblemSpec,
-    perturbed_start,
-    reversed_start,
-)
-from splitsgd.optimizers import SplitSgdConfig, final_log_loss, run_splitsgd
+from splitsgd.objectives import Dataset, Problem, ProblemSpec
 
 
 class TestType1Error:
@@ -74,6 +65,15 @@ class TestType1Error:
         total = sum(math.comb(w, i) for i in range(w + 1) if i < 0.4 * w)
         value = type1_error_probability(QRiskQuery(w=w, q=0.4))
         assert 0.0 < value == float(Fraction(total, 2**w))
+
+    def test_long_run_matches_closed_form(self):
+        # By symmetry the coefficients below the middle one sum to
+        # (2**w - C(w, w/2)) / 2.  Building each coefficient from the one
+        # before keeps w = 60000 well under a second.
+        w = 60000
+        total = (2**w - math.comb(w, w // 2)) // 2
+        value = type1_error_probability(QRiskQuery(w=w, q=0.5))
+        assert value == float(Fraction(total, 2**w))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -185,37 +185,3 @@ class TestCoherenceHistogram:
             CoherenceStudy(problem=small_linear_problem, eta=1e-2, window_index=0)
         with pytest.raises(ValueError):
             CoherenceStudy(problem=small_linear_problem, eta=1e-2, windows=3, window_index=5)
-
-
-class TestSensitivityGrid:
-    def test_window_steps_cover_one_pass(self, small_linear_problem):
-        # A grid cell with w windows must run its diagnostic threads for
-        # exactly n probes: l = n / w.  Reproducing the cell by hand with
-        # that mapping must give the same result bit for bit.
-        base = SplitSgdConfig(eta=1e-2, t1=30)
-        stream = RngStream(42)
-        row = run_grid_cell(
-            small_linear_problem,
-            base_config=base,
-            w=6,
-            q=0.5,
-            eta=5e-3,
-            seed=0,
-            budget_epochs=3,
-            rng=stream,
-        )
-        assert row.w == 6 and row.q == 0.5 and row.eta == 5e-3
-        cfg = replace(base, eta=5e-3, w=6, l=10, q=0.5)
-        theta0 = perturbed_start(
-            reversed_start(small_linear_problem.spec), RngStream(42).fork(0), 0.1
-        )
-        trace = run_splitsgd(small_linear_problem, cfg, theta0, RngStream(42).fork(1), 3)
-        assert row.final_log_loss == final_log_loss(trace)
-
-    def test_indivisible_window_count_rejected(self, small_linear_problem):
-        base = SplitSgdConfig(eta=1e-2, t1=30)
-        with pytest.raises(ValueError):
-            run_grid_cell(
-                small_linear_problem, base_config=base, w=7, q=0.4, eta=1e-3,
-                seed=0, budget_epochs=2, rng=RngStream(0),
-            )

@@ -55,35 +55,35 @@ RUNS = {
 EXPECTED = {
     "compare-linear": (
         "6e387091121ff99b074823a17fe935c52516c5a5ce019e55dd9063115d62d5be",
-        "c86a958780b5c2e657c24f770e6a2b11850d3165d48f844b017e2863f2c4b519",
+        "b68cfee67bae84f3df94ba018fdf3185ce2087a3ce4a6d3a846b51c51b7cebef",
     ),
     "compare-logistic": (
         "96627c0e4058284166b2bcd296c9eb6f4e00fafe3cb43d0e09837df37cfb00d7",
-        "8150bb765f399cfb6ae3e8e049a1abbc630ba6cb4d4646b2e6d73e5918116a77",
+        "79b6de97ac4b33226d72311cd0c2358331387ba7851cec42da4bf33ad1c2506b",
     ),
     "race": (
         "592980d66e66b60bd07377261d512d96db14aba620b067e5683f3d42912e407d",
-        "008f860035d137d1afe9d0a9c741c5558d5c69bb710c1055840721973dff9876",
+        "3bedd1840d2d3126a4beb065e7b73d80db7addd9673b9089d8aad547cf21dd19",
     ),
     "mc": (
-        "16cc711c13ffdf76c020a8e627e0395f8d18884d8fc2dd8ff78835b047c1ec55",
-        "abe21f17aa8b943a26406ab16e20ff3ac24f73705c89a7450c689dec84342fe7",
+        "ccd10a00020fe1d6293d1e72745bb3b574204be6790aa8c9e93c62eced2478c2",
+        "83591e2b57843b04ac3df35e4dfe2c27ecb6361e5c9c12bae71360e13c9aed78",
     ),
     "mc-logistic": (
-        "e0af19c3941daccd9d02a2672273cc66e421eb9eaa757b9618f00dc2871fe7ba",
-        "18d7e49ad3feaa59f5db0f8b35b896e0e6a822c3a2b6865b38437199d86e60cd",
+        "44cc73212e115b6f4f0eba044fc3d63df7cb2cac83d2258165a8d26960a60787",
+        "ddb90be7085d75b5d4656ce4a0d1721df14404107261fffd204cdee7ea5f19da",
     ),
     "mc-normalized": (
-        "440a13552a8387d23c69a09de77eca3a69c1df555cdf379fc018e62050f74352",
-        "23785f51eeaf4e92cb414d93551d630146fd523d1afee349df243dd8603cb588",
+        "dddbbf7f668c328ddb240baab6ed12837ee6cb9f38c45da2e3d8caf18572c441",
+        "1e51e7c0bc4e48fe2f6e52c9a5968fc2de47f8286749ed37ea1678add878bf40",
     ),
     "sensitivity": (
-        "b82373e5b58e3efb0350fd26a9f42464c30b9fa83b7cd0426cfe92abc079c9fc",
-        "f709c052187abd1b5658574ef448ee70f6fcb1ffec32e9e05f47efb5f5eac1fe",
+        "7c0eaeacdc91a3c1f4c94f4e695828678e3aec7cb886f400dca4c6488eb7f549",
+        "e921bbd5a9335c5af52e3ee3509eca97fa8862b34c305ac4aeb6113cd1b5354c",
     ),
     "gen-data": (
         "652c080881723819beb76e23d260e47ea0a2d936834889f84268d6912d0a2823",
-        "55954642dd066014ec79ef3d2fd7426e0dc8d788f4f37b1546d7cf6e4c604ac2",
+        "c6faaf8b9d6530a0018059fe64703c9e53a9a89edd50f7d81dec1698f46fe20d",
     ),
 }
 

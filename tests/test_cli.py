@@ -327,6 +327,22 @@ class TestMc:
         assert int(meta["diverged"]) > 0
         assert int(meta["kept"]) + int(meta["diverged"]) == 50
 
+    def test_divergent_burn_in_is_counted(self, runner, tmp_path):
+        # At eta = 1 every replication blows up during its burn-in epoch:
+        # all are counted in `diverged`, quietly, and the command succeeds.
+        out = tmp_path / "mcb.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, [
+                "mc", "--eta", "1", "--burn-in-epochs", "1", "--reps", "20",
+                "--window-index", "1", "--l", "5", "--out", str(out),
+            ])
+        assert result.exit_code == 0, result.output
+        assert "Warning" not in result.output
+        meta = _meta(out)
+        assert (meta["kept"], meta["diverged"]) == ("0", "20")
+        assert _rows(out)[1] == []
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         out = tmp_path / "mc.csv"
         args = ["mc", "--reps", "6", "--l", "4", "--out", str(out)]
@@ -349,6 +365,26 @@ class TestSensitivity:
         assert len(rows) == 2
         keys = [(int(r[0]), float(r[1]), float(r[2]), int(r[3])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_cell_is_the_compare_splitsgd_cell(self, runner, tmp_path):
+        # A grid cell runs exactly what `compare` runs for SplitSGD with the
+        # same w, l = n / w and q: same start stream, draws and schedule.
+        shared = ["--etas", "1e-2,1", "--seeds", "2", "--epochs", "3", "--t1-epochs", "1"]
+        sens, comp = tmp_path / "sens.csv", tmp_path / "comp.csv"
+        result = runner.invoke(cli, [
+            "sensitivity", "--w-values", "20", "--q-values", "0.4", *shared, "--out", str(sens),
+        ])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(cli, [
+            "compare", "--methods", "splitsgd", "--w", "20", "--l", "50", "--q", "0.4",
+            *shared, "--out", str(comp),
+        ])
+        assert result.exit_code == 0, result.output
+        _, sens_rows = _rows(sens)
+        _, comp_rows = _rows(comp)
+        assert len(sens_rows) == 4
+        assert [row[2:] for row in sens_rows] == [row[1:] for row in comp_rows]
+        assert all(row[:2] == ["20", "0.4"] for row in sens_rows)
 
     def test_indivisible_w_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(cli, [
@@ -440,7 +476,7 @@ class TestSidecar:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "risk.txt").read_bytes() == b"0.13158798217773438\n"
         assert (tmp_path / "risk.txt.meta").read_bytes() == (
-            b"artifact=splitsgd\nartifact_version=0.1.0\ncommand=qrisk\nout=risk.txt\n"
+            b"artifact=splitsgd\nartifact_version=0.2.0\ncommand=qrisk\nout=risk.txt\n"
             b"q=0.4\nschema_version=1\nw=20\n"
         )
 

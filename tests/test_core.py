@@ -17,7 +17,7 @@ from splitsgd.core import (
     RngStream,
     as_param_vector,
     check_step_size,
-    lockstep_windows,
+    lockstep_steps,
     sgd_steps,
 )
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
@@ -64,8 +64,8 @@ class TestSgdStep:
             assert np.array_equal(plain, theta - (0.37 * r) * features[i])
 
             windowed = theta[None].copy()
-            sums, failed = lockstep_windows(features, targets, family, windowed, 0.37, 1, 1,
-                                            [RngStream(6).generator()])
+            sums, failed = lockstep_steps(features, targets, family, windowed, 0.37, 1,
+                                          [RngStream(6).generator()], 1)
             assert failed[0] == -1
             assert np.array_equal(sums[0, 0], r * features[i])
             assert np.array_equal(windowed[0], theta - 0.37 * (r * features[i]))
@@ -75,8 +75,8 @@ class TestSgdStep:
         # reads by view stay untouched.
         features, targets = _data(3)
         f_copy, t_copy = features.copy(), targets.copy()
-        lockstep_windows(features, targets, "linear", np.ones((2, 3)), 0.1, 4, 5,
-                         [RngStream(4).generator(), RngStream(5).generator()])
+        lockstep_steps(features, targets, "linear", np.ones((2, 3)), 0.1, 20,
+                       [RngStream(4).generator(), RngStream(5).generator()], 5)
         sgd_steps(features, targets, "logistic", np.ones(3), 0.1, 20, RngStream(4).generator(),
                   products=GradientProducts())
         assert np.array_equal(features, f_copy)
@@ -220,9 +220,9 @@ class TestLockstepWindows:
             targets = (targets > 0).astype(np.float64)
         starts = RngStream(21).generator().standard_normal((rows, 6))
         thetas = starts.copy()
-        sums, failed = lockstep_windows(
-            features, targets, family, thetas, eta, 3, 200,
-            [RngStream(22).fork(r).generator() for r in range(rows)],
+        sums, failed = lockstep_steps(
+            features, targets, family, thetas, eta, 600,
+            [RngStream(22).fork(r).generator() for r in range(rows)], 200,
         )
         assert sums.shape == (3, rows, 6)
         for r in range(rows):
@@ -233,6 +233,52 @@ class TestLockstepWindows:
             assert np.array_equal(sums[:, r], ref_sums)
             assert np.array_equal(thetas[r], ref_theta)
 
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_burn_in_rows_match_per_sample_reference(self, family):
+        # Without a window length the loop only steps: 600 steps cross the
+        # 512-step index chunk and ten residual blocks of up to 64 steps.
+        features, targets = _data(26, n=50, d=6)
+        if family == "logistic":
+            targets = (targets > 0).astype(np.float64)
+        starts = RngStream(27).generator().standard_normal((4, 6))
+        thetas = starts.copy()
+        sums, failed = lockstep_steps(features, targets, family, thetas, 1e-2, 600,
+                                      [RngStream(28).fork(r).generator() for r in range(4)])
+        assert sums is None
+        for r in range(4):
+            _, ref_theta, ref_failed = _reference_thread(
+                features, targets, family, starts[r], 1e-2, 1, 600, RngStream(28).fork(r).generator()
+            )
+            assert failed[r] == ref_failed == -1
+            assert np.array_equal(thetas[r], ref_theta)
+
+    def test_late_divergence_step_is_exact(self):
+        # |1 - eta * x^2| is 1.25 or 3, so the iterate grows geometrically
+        # and its residual overflows hundreds of steps in, past the first
+        # residual block and, for some rows, past the first index chunk.
+        features, targets = np.array([[1.5], [2.0]]), np.zeros(2)
+        starts = np.array([[10.0 ** (50 * k)] for k in range(5)] + [[1e-300]])
+        thetas = starts.copy()
+        _, failed = lockstep_steps(features, targets, "linear", thetas, 1.0, 1500,
+                                   [RngStream(31).fork(r).generator() for r in range(6)])
+        expected = [
+            _reference_thread(features, targets, "linear", starts[r], 1.0, 1, 1500,
+                              RngStream(31).fork(r).generator())[2]
+            for r in range(6)
+        ]
+        assert failed.tolist() == expected
+        assert min(step for step in expected if step >= 0) > core._LOCKSTEP_BLOCK
+        assert max(expected) > core._LOCKSTEP_STEPS
+
+    def test_zero_steps_still_mark_a_non_finite_start(self):
+        features, targets = _data(32)
+        thetas = np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 2.0], [np.nan, 0.0, 0.0]])
+        for l in (None, 5):
+            sums, failed = lockstep_steps(features, targets, "linear", thetas.copy(), 0.1, 0,
+                                          [RngStream(r).generator() for r in range(3)], l)
+            assert failed.tolist() == [0, -1, 0]
+        assert sums.shape == (0, 3, 3)
+
     def test_index_buffer_size_does_not_show(self, monkeypatch):
         # With a 7-index buffer the 3 rows refill every 2 steps, inside
         # windows; sums and iterates still equal the default run's.
@@ -242,8 +288,8 @@ class TestLockstepWindows:
         for limit in (core._LOCKSTEP_INDICES, 7):
             monkeypatch.setattr(core, "_LOCKSTEP_INDICES", limit)
             thetas = starts.copy()
-            sums, _ = lockstep_windows(features, targets, "linear", thetas, 1e-2, 3, 5,
-                                       [RngStream(25).fork(r).generator() for r in range(3)])
+            sums, _ = lockstep_steps(features, targets, "linear", thetas, 1e-2, 15,
+                                     [RngStream(25).fork(r).generator() for r in range(3)], 5)
             runs.append((sums, thetas))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -252,8 +298,8 @@ class TestLockstepWindows:
         problem = _blow_up_problem()
         ds = problem.dataset
         thetas = np.full((8, 1), 1e154)
-        _, failed = lockstep_windows(ds.features, ds.targets, "linear", thetas, 10.0, 2, 3,
-                                     [RngStream(30).fork(r).generator() for r in range(8)])
+        _, failed = lockstep_steps(ds.features, ds.targets, "linear", thetas, 10.0, 6,
+                                   [RngStream(30).fork(r).generator() for r in range(8)], 3)
         expected = [
             _reference_thread(ds.features, ds.targets, "linear", np.array([1e154]), 10.0, 2, 3,
                               RngStream(30).fork(r).generator())[2]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import splitsgd.diagnostic as diagnostic
 from splitsgd.analysis import CoherenceStudy, coherence_histogram
-from splitsgd.core import DivergenceError, RngStream, lockstep_windows
+from splitsgd.core import DivergenceError, RngStream, lockstep_steps
 from splitsgd.diagnostic import (
     DiagnosticConfig,
     _two_thread_window_means,
@@ -115,13 +115,13 @@ def _one_row_problem(x, y):
 class TestRunDiagnostic:
     def test_consumes_exactly_two_w_l_samples(self, small_linear_problem, monkeypatch):
         calls = []
-        kernel = diagnostic.lockstep_windows
+        kernel = diagnostic.lockstep_steps
 
-        def recording(features, targets, family, thetas, eta, windows, l, gens):
-            calls.append((thetas.shape[0], windows * l, gens))
-            return kernel(features, targets, family, thetas, eta, windows, l, gens)
+        def recording(features, targets, family, thetas, eta, steps, gens, l=None):
+            calls.append((thetas.shape[0], steps, gens))
+            return kernel(features, targets, family, thetas, eta, steps, gens, l)
 
-        monkeypatch.setattr(diagnostic, "lockstep_windows", recording)
+        monkeypatch.setattr(diagnostic, "lockstep_steps", recording)
         cfg = DiagnosticConfig(eta=1e-3, w=3, l=7, q=0.4)
         run_diagnostic(small_linear_problem, np.zeros(4), cfg, rng=RngStream(1))
         assert sum(rows * steps for rows, steps, _ in calls) == 2 * 3 * 7
@@ -156,9 +156,9 @@ class TestRunDiagnostic:
         )
         swapped = np.ones((2, 4))
         ds = small_linear_problem.dataset
-        sums, failed = lockstep_windows(
-            ds.features, ds.targets, "linear", swapped, cfg.eta, cfg.w, cfg.l,
-            [RngStream(6).fork(k).generator() for k in (2, 1)],
+        sums, failed = lockstep_steps(
+            ds.features, ds.targets, "linear", swapped, cfg.eta, cfg.w * cfg.l,
+            [RngStream(6).fork(k).generator() for k in (2, 1)], cfg.l,
         )
         sums /= cfg.l
         assert np.array_equal(failed, [-1, -1])
