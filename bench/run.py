@@ -19,7 +19,11 @@ Run from the root of a checkout.  For each tree it records:
   ``compare`` and ``mc-stationary`` benchmark commands and of a small
   ``race`` (4 replications, 40 epochs), measured by ``perfbench/child.py``
   exactly as the benchmark measures them;
-* the SHA-256 of every CSV and sidecar those commands write (seed 0).
+* the SHA-256 of every CSV and sidecar those commands write (seed 0), the
+  sidecar's ``artifact_version``, and one ``identical`` or ``moved``
+  verdict per command and file.  The script exits 1 only when a file moved
+  while both trees' sidecars carry the same ``artifact_version``: an
+  undeclared change.
 
 Both kinds of rows are timed in pairs: the two trees alternate, one
 interpreter (layer rows) or one execution (end to end) at a time,
@@ -68,13 +72,9 @@ import json, os, statistics, sys, tempfile, time
 import numpy as np
 from splitsgd._csvio import write_csv
 from splitsgd.analysis import CoherenceStudy, coherence_histogram
-from splitsgd.core import GradientProducts, RngStream, sgd_steps
+from splitsgd.core import GradientProducts, RngStream, lockstep_steps, sgd_steps
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
 from splitsgd.objectives import build_problem, full_loss, make_default_spec, reversed_start
-try:
-    from splitsgd.core import lockstep_steps as burn_in
-except ImportError:  # a tree from before the burn-in ran on the diagnostic loop
-    from splitsgd.analysis import _lockstep_burn_in as burn_in
 
 repeats = int(sys.argv[1])
 spec = make_default_spec("linear", RngStream(0))
@@ -107,7 +107,7 @@ def burn_time(family):
     def burn(k):
         thetas = np.tile(base, (R, 1))
         gens = [RngStream(k).fork(r).generator() for r in range(R)]
-        burn_in(data.features, data.targets, family, thetas, 1e-2, steps, gens)
+        lockstep_steps(data.features, data.targets, family, thetas, 1e-2, steps, gens)
     return median_time(burn)
 burn_s, logistic_burn_s = burn_time("linear"), burn_time("logistic")
 LOSSES = 100
@@ -128,6 +128,9 @@ print(json.dumps({
 }))
 """
 
+# What every command writes.
+FILES = ("out.csv", "out.csv.meta")
+
 
 def _env(src: Path) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
@@ -145,7 +148,8 @@ def layers(src: Path, repeats: int) -> dict[str, float]:
 
 
 def execute(src: Path, argv: list[str], work: Path) -> tuple[dict, dict[str, str]]:
-    """One benchmark execution; returns its metrics and artifact digests."""
+    """One benchmark execution; returns its metrics, and its artifact digests
+    with the sidecar's ``artifact_version``."""
     work.mkdir()
     spawned = time.monotonic()
     spec = {"argv": [*argv, "--seed", "0", "--out", "out.csv"], "seed": 0,
@@ -155,8 +159,11 @@ def execute(src: Path, argv: list[str], work: Path) -> tuple[dict, dict[str, str
                    cwd=work, env=_env(src), check=True, capture_output=True)
     result = json.loads((work / "result.json").read_text(encoding="utf-8"))
     metrics = {k: result[k] for k in ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")}
-    digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
-               for name in ("out.csv", "out.csv.meta")}
+    digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in FILES}
+    meta = (work / "out.csv.meta").read_text(encoding="utf-8").splitlines()
+    digests["artifact_version"] = next(
+        line.partition("=")[2] for line in meta if line.startswith("artifact_version=")
+    )
     return metrics, digests
 
 
@@ -216,12 +223,20 @@ def main(argv=None) -> int:
                 if seen != digests:
                     raise SystemExit(f"{name} ({side}) wrote different bytes on a rerun")
             report["end_to_end"][name] = _paired(samples)
-    report["artifacts_identical"] = all(
-        sides_["before"] == sides_["after"] for sides_ in report["artifacts"].values()
-    )
+    report["verdicts"], undeclared = {}, []
+    for name, seen in report["artifacts"].items():
+        before, after = seen["before"], seen["after"]
+        verdicts = report["verdicts"][name] = {
+            file: "identical" if before[file] == after[file] else "moved" for file in FILES
+        }
+        if before["artifact_version"] == after["artifact_version"]:
+            undeclared += [f"{name}/{file}" for file, v in verdicts.items() if v == "moved"]
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(report["layers"]), json.dumps(report["end_to_end"]), sep="\n")
-    return 0 if report["artifacts_identical"] else 1
+    print(json.dumps(report["layers"]), json.dumps(report["end_to_end"]),
+          json.dumps(report["verdicts"]), sep="\n")
+    if undeclared:
+        print("moved under an unchanged artifact_version:", ", ".join(undeclared), file=sys.stderr)
+    return 1 if undeclared else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Monte-Carlo studies of the diagnostic.
 
-Two tools: the coherence histogram (distribution of one window's
-coherence across seeded replications of burn-in + diagnostic, all
-replications stepped in lockstep by :func:`splitsgd.core.lockstep_steps`)
-and the exact sign-flip model of the false-stationarity probability.
+Two tools: the coherence histogram (distribution of one window's coherence
+across seeded replications of burn-in + diagnostic, all replications
+stepped in lockstep by :func:`splitsgd.core.lockstep_steps`, each row bit
+for bit plain SGD) and the exact sign-flip model of the false-stationarity
+probability.
 """
 
 from __future__ import annotations

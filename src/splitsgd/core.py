@@ -2,19 +2,16 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays, with no alias type;
 this module adds their validation helpers, the seeded/forkable
-random-stream handle, the error types and the two SGD loops.
+random-stream handle, the error types and the two SGD loops, which share
+one residual and one update rounding, ``theta - (eta * r) * x``.
 :func:`sgd_steps` steps one iterate per sample and runs every
 single-iterate optimizer path: the constant-rate, ``1/sqrt(t)`` and
 halving drivers, SplitSGD's main thread and the pflug detector.  Its step
-allocates nothing: one ``ddot`` for ``x.theta``, the residual and
-``eta * r`` in Python floats, then ``theta - (eta * r) * x`` as two ufunc
-calls into buffers made once per call.  :func:`lockstep_steps` steps R
-iterates side by side, each on its own stream, and runs the ``mc``
-burn-in of all replications and every two-thread diagnostic, adding up
-window gradient sums for the latter; each of its rows is bit-identical
-to the same row stepped alone.  Both loops use the same residual; they
-round the update differently (see :func:`lockstep_steps`), and
-``sgd_steps`` stays the faster of the two at R = 1.
+allocates nothing.  :func:`lockstep_steps` steps R iterates side by side,
+each on its own stream, and runs the ``mc`` burn-in of all replications
+and every two-thread diagnostic, adding up window gradient sums for the
+latter; each of its rows equals :func:`sgd_steps` on the same generator
+bit for bit, which stays the faster of the two at R = 1.
 """
 
 from __future__ import annotations
@@ -210,8 +207,10 @@ def sgd_steps(
 # A lockstep index buffer holds at most this many steps per row and this
 # many indices in all, so its memory stays small at any row count; the
 # residuals are held, and checked for finiteness, a block of steps at a time.
-_LOCKSTEP_STEPS = 512
-_LOCKSTEP_INDICES = 1 << 18
+# Indices are int32: a bounded draw gives the same stream at either integer
+# width, and a dataset of 2**31 rows or more cannot fit in memory anyway.
+_LOCKSTEP_STEPS = 1024
+_LOCKSTEP_INDICES = 1 << 19
 _LOCKSTEP_BLOCK = 64
 
 
@@ -228,12 +227,12 @@ def lockstep_steps(
     """Run ``steps`` single-sample SGD steps on every row of ``thetas`` in
     place, row r drawing its indices from ``gens[r]``.
 
-    Each step forms the residual r as :func:`sgd_steps` does and the
-    sampled gradient ``g = r * x``, and updates ``theta -= eta * g`` (which
-    rounds differently from the plain ``(eta * r) * x``).  Returns
-    ``(sums, failed)``.  With a window length ``l`` (``steps`` a multiple
-    of it), ``sums[i, r]`` is row r's gradient sum over window i (steps
-    ``i*l`` to ``(i+1)*l - 1``); without one, ``sums`` is None.
+    Each step forms the residual r and updates ``theta -= (eta * r) * x``
+    as :func:`sgd_steps` does, so every row equals that loop run alone on
+    the same generator, bit for bit.  Returns ``(sums, failed)``.  With a
+    window length ``l`` (``steps`` a multiple of it), ``sums[i, r]`` is row
+    r's sum of sampled gradients ``r * x`` over window i (steps ``i*l`` to
+    ``(i+1)*l - 1``); without one, ``sums`` is None.
     ``failed[r]`` is the step of the row's first non-finite residual,
     ``max(steps - 1, 0)`` if only its final iterate is non-finite, or -1
     if it stayed finite.  A failed row keeps stepping until every row has
@@ -245,19 +244,20 @@ def lockstep_steps(
     n = features.shape[0]
     linear = family == "linear"
     chunk = min(_LOCKSTEP_STEPS, max(steps, 1), max(1, _LOCKSTEP_INDICES // max(n_rows, 1)))
-    idx = np.empty((chunk, n_rows), dtype=np.int64)
+    idx = np.empty((chunk, n_rows), dtype=np.int32)
     resid = np.empty((min(_LOCKSTEP_BLOCK, chunk), n_rows))
     sums = None if l is None else np.zeros((steps // l, n_rows, d))
+    grad, scale = np.empty((n_rows, d)), np.empty((n_rows, 1))
     failed = np.full(n_rows, -1, dtype=np.int64)
     clip, negative, subtract, divide = np.clip, np.negative, np.subtract, np.divide
-    exp = math.exp
+    multiply, exp = np.multiply, math.exp
     # Overflow on a blown-up iterate is the divergence signal: it shows up
     # as a non-finite residual, checked once per block.
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, steps, chunk):
             k = min(chunk, steps - done)
             for row, gen in enumerate(gens):
-                idx[:k, row] = gen.integers(0, n, size=k)
+                idx[:k, row] = gen.integers(0, n, size=k, dtype=np.int32)
             for first in range(0, k, resid.shape[0]):
                 # Each block row holds its targets until the residual
                 # overwrites them.
@@ -278,10 +278,12 @@ def lockstep_steps(
                         z += 1.0
                         divide(1.0, z, out=z)
                     subtract(z, r, out=r)
-                    x *= r[:, None]
+                    r = r[:, None]
                     if sums is not None:
-                        window += x
-                    x *= eta
+                        multiply(x, r, grad)
+                        window += grad
+                    multiply(eta, r, scale)
+                    x *= scale
                     thetas -= x
                 bad = ~np.isfinite(block)
                 if bad.any():

@@ -1,15 +1,15 @@
 """Two-thread splitting diagnostic for stationarity of constant-rate SGD.
 
 From a common starting point, two SGD threads run on independent sample
-streams, side by side as two rows of the lockstep loop
-(:func:`splitsgd.core.lockstep_steps`, which also runs the Monte-Carlo
-burn-in); the Monte-Carlo histogram runs the threads of all its
-replications as the rows of one such call.  Each
+streams as two rows of the lockstep loop
+(:func:`splitsgd.core.lockstep_steps`), each equal bit for bit to plain SGD
+(:func:`splitsgd.core.sgd_steps`) on its stream; the Monte-Carlo histogram
+runs the threads of all its replications as the rows of one such call.  Each
 thread's trajectory is cut into w windows of l steps and the sampled
-gradients are averaged per window; the inner products of paired window
-means ("gradient coherences") stay positive while both threads descend a
-shared trend and approach fair coin flips once the iterates bounce around
-a stationary distribution.  The decision rule counts negative coherences
+gradients are averaged per window; the inner products of paired window means
+("gradient coherences") stay positive while both threads descend a shared
+trend and approach fair coin flips once the iterates bounce around a
+stationary distribution.  The decision rule counts negative coherences
 against a q*w threshold.  A diverging diagnostic raises DivergenceError
 naming the thread (thread 1 if it diverged, else thread 2) and its step.
 

@@ -316,10 +316,7 @@ def _splitsgd_engine(
 
     while log.charged < log.budget:
         remaining = log.budget - log.charged
-        if diags_done >= cfg.B:
-            steps = remaining
-        else:
-            steps = min(state.current_thread_length, remaining)
+        steps = remaining if diags_done >= cfg.B else min(state.current_thread_length, remaining)
         _run_segment(theta, state.current_eta, steps, gen, log)
         remaining = log.budget - log.charged
         if remaining <= 0 or diags_done >= cfg.B or remaining < diag_cost:

@@ -54,36 +54,36 @@ RUNS = {
 # (CSV, sidecar) digests for `--seed 0 --out out.csv`.
 EXPECTED = {
     "compare-linear": (
-        "6e387091121ff99b074823a17fe935c52516c5a5ce019e55dd9063115d62d5be",
-        "b68cfee67bae84f3df94ba018fdf3185ce2087a3ce4a6d3a846b51c51b7cebef",
+        "d48a144478fdfef2b9c3a188702438a760aa6559d07c16d88bde6a6236b7b82d",
+        "71b36c8bdff39ddbf4ba717a129f82bf471629163657847d075407b884c1cd88",
     ),
     "compare-logistic": (
         "96627c0e4058284166b2bcd296c9eb6f4e00fafe3cb43d0e09837df37cfb00d7",
-        "79b6de97ac4b33226d72311cd0c2358331387ba7851cec42da4bf33ad1c2506b",
+        "d36f59daf181b7faccb29ff0a9ff8d1163f7aef86aa9bdd7cf15149c3f436c0a",
     ),
     "race": (
         "592980d66e66b60bd07377261d512d96db14aba620b067e5683f3d42912e407d",
-        "3bedd1840d2d3126a4beb065e7b73d80db7addd9673b9089d8aad547cf21dd19",
+        "fe39e99054a9b513e4bf244dd70dabd127b97f265b572d09bf096d58a09703ac",
     ),
     "mc": (
-        "ccd10a00020fe1d6293d1e72745bb3b574204be6790aa8c9e93c62eced2478c2",
-        "83591e2b57843b04ac3df35e4dfe2c27ecb6361e5c9c12bae71360e13c9aed78",
+        "08b301581d3a2cda7c4343fdff67b081237045c7f4f501889712f688bb327d0b",
+        "79f4fbb6a4f5c49e7ab43f617b097a7b7b232b42937a0671169a570c72c6c0fa",
     ),
     "mc-logistic": (
-        "44cc73212e115b6f4f0eba044fc3d63df7cb2cac83d2258165a8d26960a60787",
-        "ddb90be7085d75b5d4656ce4a0d1721df14404107261fffd204cdee7ea5f19da",
+        "7fd8644778aa31f78662d9bc3d50e4ccd6f04c5cd1485ee2413df8c0bf77da11",
+        "73d453432ea07d169a9eb9d3656a0eab35eedfad4c4efd84f951e483062245a7",
     ),
     "mc-normalized": (
-        "dddbbf7f668c328ddb240baab6ed12837ee6cb9f38c45da2e3d8caf18572c441",
-        "1e51e7c0bc4e48fe2f6e52c9a5968fc2de47f8286749ed37ea1678add878bf40",
+        "eef27d572b4907d3427d8a653decd08ec40de7d3cb45125d9b094cfc03aab518",
+        "4e4c88f04fc743d4ffe524887f9bdc99a80aae364a84ee8bd0c2c4c11e70e51d",
     ),
     "sensitivity": (
         "7c0eaeacdc91a3c1f4c94f4e695828678e3aec7cb886f400dca4c6488eb7f549",
-        "e921bbd5a9335c5af52e3ee3509eca97fa8862b34c305ac4aeb6113cd1b5354c",
+        "89b018d2d334541e2bf1cb73733e1ec7945c0b480301e2cd83a3e777bb550d13",
     ),
     "gen-data": (
         "652c080881723819beb76e23d260e47ea0a2d936834889f84268d6912d0a2823",
-        "c6faaf8b9d6530a0018059fe64703c9e53a9a89edd50f7d81dec1698f46fe20d",
+        "113f37b5f563eb44e40b01db39e99a0df1776b8789dd9b0d0a9aadf94e5bbac7",
     ),
 }
 

@@ -476,7 +476,7 @@ class TestSidecar:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "risk.txt").read_bytes() == b"0.13158798217773438\n"
         assert (tmp_path / "risk.txt.meta").read_bytes() == (
-            b"artifact=splitsgd\nartifact_version=0.2.0\ncommand=qrisk\nout=risk.txt\n"
+            b"artifact=splitsgd\nartifact_version=0.3.0\ncommand=qrisk\nout=risk.txt\n"
             b"q=0.4\nschema_version=1\nw=20\n"
         )
 

@@ -49,8 +49,7 @@ class TestSgdStep:
 
     def test_plain_update_is_exact_expression(self):
         # theta' must equal the literal expression theta - (eta*r) * x, bit
-        # for bit; in the lockstep loop it is theta - eta * (r*x), and the
-        # window receives r*x.
+        # for bit, in both loops; the lockstep window receives r*x.
         features, targets = _data(5)
         theta = RngStream(5).generator().standard_normal(3)
         i = RngStream(6).generator().integers(0, 7, size=1)[0]
@@ -68,7 +67,7 @@ class TestSgdStep:
                                           [RngStream(6).generator()], 1)
             assert failed[0] == -1
             assert np.array_equal(sums[0, 0], r * features[i])
-            assert np.array_equal(windowed[0], theta - 0.37 * (r * features[i]))
+            assert np.array_equal(windowed[0], theta - (0.37 * r) * features[i])
 
     def test_inputs_not_mutated(self):
         # Only theta and the accumulators change; the data rows the loop
@@ -194,9 +193,8 @@ def _reference_thread(features, targets, family, theta, eta, windows, l, gen):
                 r = 1.0 / (1.0 + math.exp(-float(np.clip(z, -40.0, 40.0)))) - targets[i]
             if not math.isfinite(r):
                 return sums, theta, step
-            g = r * x
-            sums[step // l] += g
-            theta -= eta * g
+            sums[step // l] += r * x
+            theta -= (eta * r) * x
     return sums, theta, -1 if np.isfinite(theta).all() else windows * l - 1
 
 
@@ -214,20 +212,20 @@ class TestLockstepWindows:
     @pytest.mark.parametrize("rows", [1, 2, 5])
     @pytest.mark.parametrize("eta", [0.0, 1e-2])
     def test_rows_match_per_sample_reference(self, family, rows, eta):
-        # 3 windows of 200 steps cross the 512-step index chunk.
+        # 3 windows of 400 steps cross the 1024-step index chunk.
         features, targets = _data(20, n=50, d=6)
         if family == "logistic":
             targets = (targets > 0).astype(np.float64)
         starts = RngStream(21).generator().standard_normal((rows, 6))
         thetas = starts.copy()
         sums, failed = lockstep_steps(
-            features, targets, family, thetas, eta, 600,
-            [RngStream(22).fork(r).generator() for r in range(rows)], 200,
+            features, targets, family, thetas, eta, 1200,
+            [RngStream(22).fork(r).generator() for r in range(rows)], 400,
         )
         assert sums.shape == (3, rows, 6)
         for r in range(rows):
             ref_sums, ref_theta, ref_failed = _reference_thread(
-                features, targets, family, starts[r], eta, 3, 200, RngStream(22).fork(r).generator()
+                features, targets, family, starts[r], eta, 3, 400, RngStream(22).fork(r).generator()
             )
             assert failed[r] == ref_failed == -1
             assert np.array_equal(sums[:, r], ref_sums)
@@ -235,22 +233,55 @@ class TestLockstepWindows:
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_burn_in_rows_match_per_sample_reference(self, family):
-        # Without a window length the loop only steps: 600 steps cross the
-        # 512-step index chunk and ten residual blocks of up to 64 steps.
+        # Without a window length the loop only steps: 1100 steps cross the
+        # 1024-step index chunk and eighteen residual blocks of up to 64 steps.
         features, targets = _data(26, n=50, d=6)
         if family == "logistic":
             targets = (targets > 0).astype(np.float64)
         starts = RngStream(27).generator().standard_normal((4, 6))
         thetas = starts.copy()
-        sums, failed = lockstep_steps(features, targets, family, thetas, 1e-2, 600,
+        sums, failed = lockstep_steps(features, targets, family, thetas, 1e-2, 1100,
                                       [RngStream(28).fork(r).generator() for r in range(4)])
         assert sums is None
         for r in range(4):
             _, ref_theta, ref_failed = _reference_thread(
-                features, targets, family, starts[r], 1e-2, 1, 600, RngStream(28).fork(r).generator()
+                features, targets, family, starts[r], 1e-2, 1, 1100,
+                RngStream(28).fork(r).generator(),
             )
             assert failed[r] == ref_failed == -1
             assert np.array_equal(thetas[r], ref_theta)
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("rows", [1, 2, 20])
+    @pytest.mark.parametrize("l", [None, 50])
+    @pytest.mark.parametrize("eta", [1e-2, 1.0])
+    def test_rows_equal_sgd_steps(self, family, rows, l, eta):
+        # Every row is sgd_steps run alone on the same generator, bit for
+        # bit, over more steps than one index chunk holds: the same final
+        # iterate, or the same divergence step (eta = 1 diverges on the
+        # linear family, in the second index chunk).
+        features, targets = _data(33, n=50, d=6)
+        if family == "logistic":
+            targets = (targets > 0).astype(np.float64)
+        steps = 2100
+        assert steps > 2 * core._LOCKSTEP_STEPS
+        starts = RngStream(34).generator().standard_normal((rows, 6))
+        thetas = starts.copy()
+        _, failed = lockstep_steps(features, targets, family, thetas, eta, steps,
+                                   [RngStream(35).fork(r).generator() for r in range(rows)], l)
+        diverged = 0
+        for r in range(rows):
+            theta = starts[r].copy()
+            try:
+                sgd_steps(features, targets, family, theta, eta, steps,
+                          RngStream(35).fork(r).generator())
+            except DivergenceError as exc:
+                diverged += 1
+                assert failed[r] == exc.step
+            else:
+                assert failed[r] == -1
+                assert np.array_equal(thetas[r], theta)
+        assert diverged == (rows if family == "linear" and eta == 1.0 else 0)
 
     def test_late_divergence_step_is_exact(self):
         # |1 - eta * x^2| is 1.25 or 3, so the iterate grows geometrically
