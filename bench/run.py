@@ -6,8 +6,11 @@ Run from the root of a checkout.  For each tree it records:
 
 * layer rows, timed in a fresh interpreter with that tree on ``PYTHONPATH``
   on the default linear problem (d = 20, n = 1000): µs per main-thread
-  step (one epoch of ``core.sgd_steps``), µs per pflug step (the same
-  epoch accumulating ``GradientProducts``), µs per diagnostic gradient eval
+  step (one epoch of ``core.sgd_steps``), µs per pflug row-step (one epoch
+  of R = 1 and of R = 100 replications accumulating consecutive-gradient
+  products: rows of ``core.lockstep_steps(products=...)``, or, on a tree
+  whose ``sgd_steps`` still takes ``products``, R single-row calls of it,
+  generator set-up included), µs per diagnostic gradient eval
   (one ``run_diagnostic`` at w = 20, l = 50, and the diagnostic threads of
   a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
   replication-step (``core.lockstep_steps`` without windows at R = 250, on
@@ -16,9 +19,9 @@ Run from the root of a checkout.  For each tree it records:
   (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each interpreter
   giving the median of ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
-  ``compare`` and ``mc-stationary`` benchmark commands and of a small
-  ``race`` (4 replications, 40 epochs), measured by ``perfbench/child.py``
-  exactly as the benchmark measures them;
+  ``compare`` and ``mc-stationary`` benchmark commands and of two ``race``
+  runs (4 replications over 40 epochs, and 100 over 20), measured by
+  ``perfbench/child.py`` exactly as the benchmark measures them;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0), the
   sidecar's ``artifact_version``, and one ``identical`` or ``moved``
   verdict per command and file.  The script exits 1 only when a file moved
@@ -63,16 +66,18 @@ COMMANDS = {
         "mc", "--problem", "linear", "--eta", "1e-2", "--burn-in-epochs", "60",
         "--reps", "250", "--window-index", "2", "--raw",
     ],
-    # Not a benchmark workload: pflug's single-iterate loop at R = 1.
+    # Not benchmark workloads: pflug as one block of 4 and of 100 lockstep
+    # rows, after each replication's split detection.
     "race": ["race", "--reps", "4", "--max-epochs", "40", "--threads", "1"],
+    "race-100": ["race", "--reps", "100", "--max-epochs", "20", "--threads", "1"],
 }
 
 LAYERS = r"""
-import json, os, statistics, sys, tempfile, time
+import inspect, json, os, statistics, sys, tempfile, time
 import numpy as np
 from splitsgd._csvio import write_csv
 from splitsgd.analysis import CoherenceStudy, coherence_histogram
-from splitsgd.core import GradientProducts, RngStream, lockstep_steps, sgd_steps
+from splitsgd.core import RngStream, lockstep_steps, sgd_steps
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
 from splitsgd.objectives import build_problem, full_loss, make_default_spec, reversed_start
 
@@ -93,9 +98,22 @@ start = reversed_start(spec)
 n = ds.features.shape[0]
 step = median_time(lambda k: sgd_steps(
     ds.features, ds.targets, "linear", start.copy(), 1e-2, n, RngStream(k).generator()))
-pflug = median_time(lambda k: sgd_steps(
-    ds.features, ds.targets, "linear", start.copy(), 1e-2, n, RngStream(k).generator(),
-    products=GradientProducts()))
+def pflug_rows(rows):
+    if "products" in inspect.signature(lockstep_steps).parameters:
+        def run(k):
+            thetas = np.tile(start, (rows, 1))
+            gens = [RngStream(k).fork(r).generator() for r in range(rows)]
+            carry = (np.zeros(rows), np.zeros(rows), np.zeros_like(thetas))
+            lockstep_steps(ds.features, ds.targets, "linear", thetas, 1e-2, n, gens,
+                           products=carry)
+    else:
+        from splitsgd.core import GradientProducts
+        def run(k):
+            for r in range(rows):
+                sgd_steps(ds.features, ds.targets, "linear", start.copy(), 1e-2, n,
+                          RngStream(k).fork(r).generator(), products=GradientProducts())
+    return median_time(run) / (rows * n)
+pflug_1, pflug_100 = pflug_rows(1), pflug_rows(100)
 cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)
 one = median_time(lambda k: run_diagnostic(problem, start, cfg, RngStream(k)))
 study = CoherenceStudy(problem=problem, eta=1e-2, window_index=2, windows=20, replications=40)
@@ -118,7 +136,8 @@ with tempfile.TemporaryDirectory() as tmp:
     csv_s = median_time(lambda k: write_csv(path, ["method", "eta", "seed", "final_log_loss"], rows))
 print(json.dumps({
     "main_thread_us_per_step": 1e6 * step / n,
-    "pflug_us_per_step": 1e6 * pflug / n,
+    "pflug_us_per_row_step_r1": 1e6 * pflug_1,
+    "pflug_us_per_row_step_r100": 1e6 * pflug_100,
     "diagnostic_us_per_eval": 1e6 * one / (2 * cfg.w * cfg.l),
     "mc_diagnostic_us_per_eval": 1e6 * many / (2 * 40 * 20 * 50),
     "burn_in_ns_per_rep_step": 1e9 * burn_s / (R * steps),

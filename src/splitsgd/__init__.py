@@ -2,8 +2,8 @@
 
 The package bundles:
 
-* the per-sample SGD loop that every single-iterate path runs on, the
-  lockstep loop that runs the Monte-Carlo burn-in and every diagnostic,
+* the per-sample SGD loop of every single-iterate schedule, the lockstep
+  loop of the Monte-Carlo burn-in, every diagnostic and the pflug detector,
   the random streams and the error types (:mod:`splitsgd.core`),
 * synthetic linear / logistic regression benchmarks with per-datum and
   full losses and gradients (:mod:`splitsgd.objectives`),

@@ -282,13 +282,25 @@ def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t
 # -------------------------------------------------------------------- race
 
 
-def _race_rep(payload):
-    (problem, base, rep, master_seed, cfg, max_epochs) = payload
-    stream = _experiment_stream(master_seed).fork(rep)
-    theta0 = perturbed_start(base, stream.fork(START_STREAM_CHILD))
-    split = run_split_detection(problem, cfg, theta0, stream.fork(_CHILD_SPLIT), max_epochs)
-    pflug = run_pflug_detection(problem, cfg.eta, theta0, stream.fork(_CHILD_PFLUG), max_epochs)
-    return rep, split, pflug
+def _race_block(payload):
+    """Both detectors for a block of replications: split detection one at a
+    time, then pflug detection of all of them as rows of one lockstep run.
+    A divergence names the replication and the detector."""
+    (problem, base, reps, master_seed, cfg, max_epochs) = payload
+    streams = [_experiment_stream(master_seed).fork(rep) for rep in reps]
+    starts = [perturbed_start(base, stream.fork(START_STREAM_CHILD)) for stream in streams]
+    split = []
+    try:
+        for stream, theta0 in zip(streams, starts):
+            split.append(run_split_detection(problem, cfg, theta0, stream.fork(_CHILD_SPLIT),
+                                             max_epochs))
+        rngs = [stream.fork(_CHILD_PFLUG) for stream in streams]
+        pflug = run_pflug_detection(problem, cfg.eta, starts, rngs, max_epochs)
+    except DivergenceError as err:
+        detector, row = ("split", len(split)) if len(split) < len(reps) else ("pflug", err.row)
+        message = f"replication {reps[row]}, {detector} detector: {err}"
+        raise DivergenceError(message, err.step, err.thread, reps[row])
+    return list(zip(reps, split, pflug))
 
 
 @cli.command()
@@ -305,16 +317,19 @@ def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, 
 
     Both detectors run per replication from the same start; rows record the
     epoch of first detection, with the budget cap as value when none fires.
+    ``--threads`` shards the replications round-robin into one block per
+    worker; the bytes do not depend on it.
     """
     if eta is None:
         eta = ETA_SCALES[eta_scale]
     instance = _make_problem(problem, seed, noise_sd)
     base = start_point(instance.spec, start)
     cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n, gamma=gamma)
-    payloads = [(instance, base, rep, seed, cfg, max_epochs) for rep in range(reps)]
-    results = _pool_map(_race_rep, payloads, threads)
+    blocks = [range(block, reps, threads) for block in range(min(threads, reps))]
+    payloads = [(instance, base, block, seed, cfg, max_epochs) for block in blocks]
+    results = _pool_map(_race_block, payloads, threads)
     rows = []
-    for rep, split, pflug in sorted(results):
+    for rep, split, pflug in sorted(r for block in results for r in block):
         for method, epoch in (("pflug", pflug), ("split", split)):
             capped = epoch is None
             rows.append((rep, method, max_epochs if capped else epoch, capped))

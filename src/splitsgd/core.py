@@ -6,12 +6,13 @@ random-stream handle, the error types and the two SGD loops, which share
 one residual and one update rounding, ``theta - (eta * r) * x``.
 :func:`sgd_steps` steps one iterate per sample and runs every
 single-iterate optimizer path: the constant-rate, ``1/sqrt(t)`` and
-halving drivers, SplitSGD's main thread and the pflug detector.  Its step
-allocates nothing.  :func:`lockstep_steps` steps R iterates side by side,
-each on its own stream, and runs the ``mc`` burn-in of all replications
-and every two-thread diagnostic, adding up window gradient sums for the
-latter; each of its rows equals :func:`sgd_steps` on the same generator
-bit for bit, which stays the faster of the two at R = 1.
+halving drivers and SplitSGD's main thread.  Its step allocates nothing.
+:func:`lockstep_steps` steps R iterates side by side, each on its own
+stream, and runs the ``mc`` burn-in of all replications, every two-thread
+diagnostic (adding up window gradient sums) and the pflug detector of
+every ``race`` replication (adding up consecutive-gradient products); each
+of its rows equals :func:`sgd_steps` on the same generator bit for bit,
+which stays the faster of the two at R = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 __all__ = [
     "DimensionError",
     "DivergenceError",
-    "GradientProducts",
     "NumericError",
     "RngStream",
     "as_param_vector",
@@ -48,13 +48,16 @@ class NumericError(RuntimeError):
 class DivergenceError(NumericError):
     """An optimizer iterate left the finite range.
 
-    ``step`` is the gradient-step index at which the blow-up was detected and
-    ``thread`` identifies the diagnostic thread (1 or 2) when applicable.
+    ``step`` is the gradient-step index at which the blow-up was detected,
+    ``thread`` identifies the diagnostic thread (1 or 2) and ``row`` the
+    replication of a many-row call, when applicable.
     """
 
-    def __init__(self, message: str, step: int | None = None, thread: int | None = None):
+    def __init__(self, message: str, step: int | None = None, thread: int | None = None,
+                 row: int | None = None):
         super().__init__(message, step=step)
         self.thread = thread
+        self.row = row
 
 
 class DimensionError(ValueError):
@@ -126,21 +129,6 @@ def _sigmoid_scalar(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
 
 
-@dataclass
-class GradientProducts:
-    """Running sum of inner products of consecutive sampled gradients.
-
-    Pflug's stationarity statistic.  ``total`` adds <g_t, g_(t-1)> from the
-    second draw on; ``prev_r`` and ``prev_x`` keep the last draw (its
-    gradient is ``prev_r * prev_x``) so the sum carries across calls of
-    :func:`sgd_steps`.
-    """
-
-    total: float = 0.0
-    prev_r: float = 0.0
-    prev_x: np.ndarray | None = None
-
-
 def sgd_steps(
     features: np.ndarray,
     targets: np.ndarray,
@@ -151,7 +139,6 @@ def sgd_steps(
     gen: np.random.Generator,
     *,
     first_step: int = 0,
-    products: GradientProducts | None = None,
 ) -> None:
     """Run ``steps`` single-sample SGD updates of ``theta`` in place.
 
@@ -160,8 +147,6 @@ def sgd_steps(
     for the logistic family) and updates ``theta -= (eta * r) * x``,
     rounded elementwise as written.  ``eta`` is one step size, or an array
     holding (at least) one per step.
-
-    ``products`` accumulates the inner products of consecutive gradients.
 
     Divergence policy: a non-finite residual raises DivergenceError whose
     ``step`` is ``first_step`` plus the index of the draw in this call.  An
@@ -178,8 +163,6 @@ def sgd_steps(
     numbers = count(first_step)
     scale, step = np.empty(()), np.empty(d)
     multiply, subtract, isfinite = np.multiply, np.subtract, math.isfinite
-    if products is not None:
-        total, prev_r, prev_x = products.total, products.prev_r, products.prev_x
     # Overflow on a blown-up iterate is the divergence signal, not an
     # anomaly: the next residual goes non-finite and raises.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -192,16 +175,10 @@ def sgd_steps(
                 z = float(x.dot(theta))
                 r = z - ys[i] if linear else _sigmoid_scalar(z) - ys[i]
                 if not isfinite(r):
-                    raise DivergenceError("iterate diverged", step=t)
-                if products is not None:
-                    if prev_x is not None:
-                        total += (r * prev_r) * x.dot(prev_x)
-                    prev_r, prev_x = r, x
+                    raise DivergenceError(f"iterate diverged at step {t}", step=t)
                 scale[()] = e * r
                 multiply(x, scale, step)
                 subtract(theta, step, theta)
-    if products is not None:
-        products.total, products.prev_r, products.prev_x = total, prev_r, prev_x
 
 
 # A lockstep index buffer holds at most this many steps per row and this
@@ -223,6 +200,7 @@ def lockstep_steps(
     steps: int,
     gens: list[np.random.Generator],
     l: int | None = None,
+    products: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Run ``steps`` single-sample SGD steps on every row of ``thetas`` in
     place, row r drawing its indices from ``gens[r]``.
@@ -233,10 +211,15 @@ def lockstep_steps(
     window length ``l`` (``steps`` a multiple of it), ``sums[i, r]`` is row
     r's sum of sampled gradients ``r * x`` over window i (steps ``i*l`` to
     ``(i+1)*l - 1``); without one, ``sums`` is None.
+    ``products = (total, prev_r, prev_x)``, arrays updated in place, carries
+    each row's sum of consecutive-gradient inner products across calls:
+    a step adds ``(r * prev_r) * (x . prev_x)`` to ``total``, then keeps its
+    own residual and data row; zeros before a row's first draw add an exact 0.
     ``failed[r]`` is the step of the row's first non-finite residual,
     ``max(steps - 1, 0)`` if only its final iterate is non-finite, or -1
     if it stayed finite.  A failed row keeps stepping until every row has
-    failed; its sums and iterate are meaningless.
+    failed; its sums, product sum and iterate are meaningless.  From a
+    row's first non-finite residual on, its ``prev_r`` is not finite.
     """
     n_rows, d = thetas.shape
     if d != features.shape[1]:
@@ -248,9 +231,11 @@ def lockstep_steps(
     resid = np.empty((min(_LOCKSTEP_BLOCK, chunk), n_rows))
     sums = None if l is None else np.zeros((steps // l, n_rows, d))
     grad, scale = np.empty((n_rows, d)), np.empty((n_rows, 1))
+    if products is not None:
+        total, prev_r, prev_x = products
     failed = np.full(n_rows, -1, dtype=np.int64)
     clip, negative, subtract, divide = np.clip, np.negative, np.subtract, np.divide
-    multiply, exp = np.multiply, math.exp
+    multiply, vecdot, exp = np.multiply, np.vecdot, math.exp
     # Overflow on a blown-up iterate is the divergence signal: it shows up
     # as a non-finite residual, checked once per block.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,7 +253,7 @@ def lockstep_steps(
                     if sums is not None and t % l == 0:
                         window = sums[t // l]
                     x = features.take(idx[first + j], axis=0)
-                    z = np.vecdot(x, thetas)
+                    z = vecdot(x, thetas)
                     if not linear:
                         # _sigmoid_scalar's operations, elementwise; math.exp,
                         # not np.exp: the two differ in the last bit.
@@ -278,6 +263,9 @@ def lockstep_steps(
                         z += 1.0
                         divide(1.0, z, out=z)
                     subtract(z, r, out=r)
+                    if products is not None:
+                        total += (r * prev_r) * vecdot(x, prev_x)
+                        prev_r[...], prev_x[...] = r, x
                     r = r[:, None]
                     if sums is not None:
                         multiply(x, r, grad)

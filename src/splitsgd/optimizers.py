@@ -1,14 +1,15 @@
 """Optimizer drivers: SplitSGD and the baseline schedules.
 
-All drivers step on the per-sample loop :func:`splitsgd.core.sgd_steps`
-(SplitSGD's diagnostics run in :mod:`splitsgd.diagnostic`) and charge
-budget in "units": one unit per gradient draw on the main thread, and
-w*l units per diagnostic, because its two threads conceptually run in
-parallel.  The schedule drivers log the full loss once per epoch boundary
-(an epoch is n budget units) and return a trace that also carries the
-true gradient-evaluation count, which includes both diagnostic threads
-(2*w*l per diagnostic).  The two detectors that ``race`` compares return
-only the epoch of their first detection.
+The schedule drivers step on the per-sample loop
+:func:`splitsgd.core.sgd_steps` (SplitSGD's diagnostics run in
+:mod:`splitsgd.diagnostic`) and charge budget in "units": one unit per
+gradient draw on the main thread, and w*l units per diagnostic, because its
+two threads conceptually run in parallel.  They log the full loss once per
+epoch boundary (an epoch is n budget units) and return a trace that also
+carries the true gradient-evaluation count, which includes both diagnostic
+threads (2*w*l per diagnostic).  The two detectors that ``race`` compares
+return only the epoch of their first detection; the pflug detector runs
+many replications as rows of :func:`splitsgd.core.lockstep_steps`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import write_csv
-from .core import GradientProducts, RngStream, as_param_vector, check_step_size, sgd_steps
+from .core import DivergenceError, RngStream, as_param_vector, check_step_size
+from .core import lockstep_steps, sgd_steps
 from .diagnostic import DiagnosticConfig, run_diagnostic
 from .objectives import Problem, full_loss
 
@@ -196,7 +198,6 @@ def _run_segment(
     steps: int,
     gen: np.random.Generator,
     log: _EpochLog,
-    products: GradientProducts | None = None,
 ) -> None:
     """Run ``steps`` main-thread SGD updates at fixed eta, in place.
 
@@ -207,7 +208,7 @@ def _run_segment(
         k = min(steps, log.steps_to_boundary())
         sgd_steps(
             log.dataset.features, log.dataset.targets, log.family, theta, eta, k, gen,
-            first_step=log.evals, products=products,
+            first_step=log.evals,
         )
         log.advance(k, k, theta)
         steps -= k
@@ -391,20 +392,41 @@ def run_split_detection(
 def run_pflug_detection(
     problem: Problem,
     eta: float,
-    theta0: np.ndarray,
-    rng: RngStream,
+    thetas0,
+    rngs: list[RngStream],
     max_epochs: int = 1000,
-) -> int | None:
-    """Constant-rate SGD with the running sum of consecutive-gradient inner
-    products; reports the first epoch boundary where the sum is negative,
-    or None when ``max_epochs`` pass without one."""
+) -> list[int | None]:
+    """Constant-rate SGD from every start in ``thetas0`` (start r drawing
+    from ``rngs[r]``) with each run's sum of consecutive-gradient inner
+    products; reports per run the first epoch boundary where its sum is
+    negative, or None when ``max_epochs`` pass without one.
+
+    The runs are rows of one lockstep loop, stepped an epoch per call, and
+    a fired row steps no further, so each reads as a one-row call.  A
+    non-finite residual raises DivergenceError whose ``row`` names the run
+    and whose ``step`` counts every step of that run.
+    """
     check_step_size(eta)
-    theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, max_epochs, record_loss=False)
-    gen = rng.generator()
-    products = GradientProducts()
+    if max_epochs < 0:
+        raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
+    thetas = np.stack([as_param_vector(theta) for theta in thetas0])
+    data, n, rows = problem.dataset, problem.spec.n, np.arange(len(rngs))
+    gens = [rng.generator() for rng in rngs]
+    carry = (np.zeros(len(gens)), np.zeros(len(gens)), np.zeros_like(thetas))
+    detected = np.zeros(len(gens), dtype=np.int64)
     for epoch in range(1, max_epochs + 1):
-        _run_segment(theta, eta, problem.spec.n, gen, log, products)
-        if products.total < 0.0:
-            return epoch
-    return None
+        _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas, eta,
+                                   n, gens, products=carry)
+        # A row's residuals stay non-finite from its first non-finite one on;
+        # an iterate that overflowed on the last step alone fails next epoch.
+        diverged = np.flatnonzero(~np.isfinite(carry[1]))
+        if diverged.size:
+            row, step = int(rows[diverged[0]]), (epoch - 1) * n + int(failed[diverged[0]])
+            raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
+        fired = carry[0] < 0.0
+        detected[rows[fired]] = epoch
+        rows, thetas, carry = rows[~fired], thetas[~fired], tuple(a[~fired] for a in carry)
+        gens = [gen for gen, done in zip(gens, fired) if not done]
+        if not gens:
+            break
+    return [int(epoch) if epoch else None for epoch in detected]

@@ -13,14 +13,16 @@ import pytest
 from click.testing import CliRunner
 
 import splitsgd
+import splitsgd.cli as cli_module
 from splitsgd.cli import cli, main
-from splitsgd.core import RngStream
+from splitsgd.core import DivergenceError, RngStream
 from splitsgd.objectives import (
     DATA_STREAM_CHILD,
     build_problem,
     make_default_spec,
     read_dataset_csv,
 )
+from splitsgd.optimizers import SplitSgdConfig
 
 
 @pytest.fixture()
@@ -278,6 +280,44 @@ class TestRace:
             ])
         assert exc.value.code == 3
         assert not (tmp_path / "x.csv").exists()
+
+    def test_worker_pool_matches_sequential(self, runner, tmp_path):
+        # Near the optimum the pflug rows fire at different epochs, so the
+        # two round-robin blocks drop rows at different times.
+        base = ["race", "--eta", "1e-2", "--start", "near-opt", "--reps", "5",
+                "--max-epochs", "6", "--t1-epochs", "1"]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"race{threads}.csv"
+            result = runner.invoke(cli, base + ["--threads", threads, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_divergence_names_the_replication(self, tmp_path, capsys):
+        # At eta = 0.2 replication 0 stays finite and replication 1's split
+        # detector diverges on its main thread.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "race", "--eta", "0.2", "--reps", "6", "--max-epochs", "6", "--t1-epochs", "1",
+                "--out", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 3
+        assert "replication 1, split detector: iterate diverged at step" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_pflug_divergence_names_the_replication_of_its_row(self, monkeypatch):
+        # Row 1 of the block holding replications 1, 3 and 5 is replication 3.
+        def diverge(problem, eta, thetas0, rngs, max_epochs):
+            raise DivergenceError("iterate diverged at step 7", step=7, row=1)
+
+        monkeypatch.setattr(cli_module, "run_pflug_detection", diverge)
+        problem = build_problem(make_default_spec("linear", RngStream(0), n=20, d=2))
+        cfg = SplitSgdConfig(eta=1e-2, w=2, l=5, t1=20)
+        with pytest.raises(DivergenceError) as excinfo:
+            cli_module._race_block((problem, np.zeros(2), range(1, 6, 2), 0, cfg, 0))
+        assert str(excinfo.value) == "replication 3, pflug detector: iterate diverged at step 7"
+        assert (excinfo.value.step, excinfo.value.row) == (7, 3)
 
 
 class TestMc:

@@ -1,5 +1,6 @@
-"""Core numeric primitives: the per-sample and lockstep SGD loops, step-size
-checks, rng streams."""
+"""Core numeric primitives: the per-sample and lockstep SGD loops (with
+window sums and consecutive-gradient products), step-size checks, rng
+streams."""
 
 import math
 
@@ -12,7 +13,6 @@ import splitsgd.core as core
 from splitsgd.core import (
     DimensionError,
     DivergenceError,
-    GradientProducts,
     NumericError,
     RngStream,
     as_param_vector,
@@ -31,6 +31,11 @@ def _vec(*values):
 def _data(seed, n=7, d=3):
     gen = RngStream(seed).generator()
     return gen.standard_normal((n, d)), gen.standard_normal(n)
+
+
+def _carry(rows, d=3):
+    """All-zero consecutive-gradient carry for ``rows`` lockstep rows."""
+    return np.zeros(rows), np.zeros(rows), np.zeros((rows, d))
 
 
 class TestSgdStep:
@@ -76,39 +81,54 @@ class TestSgdStep:
         f_copy, t_copy = features.copy(), targets.copy()
         lockstep_steps(features, targets, "linear", np.ones((2, 3)), 0.1, 20,
                        [RngStream(4).generator(), RngStream(5).generator()], 5)
-        sgd_steps(features, targets, "logistic", np.ones(3), 0.1, 20, RngStream(4).generator(),
-                  products=GradientProducts())
+        lockstep_steps(features, targets, "logistic", np.ones((1, 3)), 0.1, 20,
+                       [RngStream(4).generator()], products=_carry(1))
+        sgd_steps(features, targets, "logistic", np.ones(3), 0.1, 20, RngStream(4).generator())
         assert np.array_equal(features, f_copy)
         assert np.array_equal(targets, t_copy)
 
     def test_split_calls_equal_one_call(self):
-        # Draws, iterate and the consecutive-gradient sum carry across calls
-        # on one generator: 2000 steps in one call (two index chunks) equal
-        # 300 + 1700 steps in two.
+        # Draws, iterates and consecutive-gradient sums carry across calls
+        # of lockstep_steps on the same generators: 2000 steps in one call
+        # (two index chunks) equal 300 + 1700 steps in two, on both families
+        # at R = 1 and R = 20, and each row's carry ends on its last draw.
         features, targets = _data(8)
-        whole, whole_sum = np.zeros(3), GradientProducts()
-        sgd_steps(features, targets, "linear", whole, 1e-2, 2000, RngStream(9).generator(),
-                  products=whole_sum)
-        split, split_sum = np.zeros(3), GradientProducts()
-        gen = RngStream(9).generator()
-        sgd_steps(features, targets, "linear", split, 1e-2, 300, gen, products=split_sum)
-        sgd_steps(features, targets, "linear", split, 1e-2, 1700, gen, products=split_sum)
-        assert np.array_equal(whole, split)
-        assert whole_sum.total == split_sum.total
+        for family in ("linear", "logistic"):
+            for rows in (1, 20):
+                runs = []
+                for parts in ((2000,), (300, 1700)):
+                    thetas, carry = np.zeros((rows, 3)), _carry(rows)
+                    gens = [RngStream(9).fork(r).generator() for r in range(rows)]
+                    for steps in parts:
+                        lockstep_steps(features, targets, family, thetas, 1e-2, steps, gens,
+                                       products=carry)
+                    runs.append((thetas, *carry))
+                for whole, split in zip(*runs):
+                    assert np.array_equal(whole, split), (family, rows)
+                for r in range(rows):
+                    i = RngStream(9).fork(r).generator().integers(0, 7, size=2000)[-1]
+                    assert np.array_equal(runs[0][3][r], features[i]), (family, rows)
 
     def test_consecutive_gradient_products(self):
-        # Iterate and the sum of <g_t, g_(t-1)> over more than two index
-        # chunks equal a per-step replay, bit for bit, on both families.
-        steps = 2 * core._CHUNK + 1
+        # Iterates and the sums of <g_t, g_(t-1)> of lockstep rows, over more
+        # than two index chunks, equal a per-step replay of each row, bit
+        # for bit, on both families at R = 1 and R = 20.
+        steps = 2 * core._LOCKSTEP_STEPS + 1
+        features, targets = _data(10)
         for family in ("linear", "logistic"):
-            features, targets = _data(10)
-            theta, products = np.zeros(3), GradientProducts()
-            sgd_steps(features, targets, family, theta, 1e-2, steps, RngStream(11).generator(),
-                      products=products)
-            replay, total = _replay_steps(features, targets, family, np.zeros(3), [1e-2] * steps,
-                                          RngStream(11).generator())
-            assert np.array_equal(theta, replay), family
-            assert products.total == total, family
+            for rows in (1, 20):
+                starts = RngStream(12).generator().standard_normal((rows, 3))
+                thetas, carry = starts.copy(), _carry(rows)
+                _, failed = lockstep_steps(
+                    features, targets, family, thetas, 1e-2, steps,
+                    [RngStream(11).fork(r).generator() for r in range(rows)], products=carry,
+                )
+                assert (failed == -1).all()
+                for r in range(rows):
+                    replay, total = _replay_steps(features, targets, family, starts[r],
+                                                  [1e-2] * steps, RngStream(11).fork(r).generator())
+                    assert np.array_equal(thetas[r], replay), (family, rows, r)
+                    assert carry[0][r] == total, (family, rows, r)
 
     def test_per_step_rates(self):
         # Rate t applies to draw t, across index chunks, on both families.

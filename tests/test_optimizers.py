@@ -14,6 +14,7 @@ from splitsgd.objectives import (
     make_default_spec,
     perturbed_start,
     reversed_start,
+    start_point,
 )
 from splitsgd.optimizers import (
     EVENT_DIAG_N,
@@ -273,17 +274,61 @@ class TestPflug:
             spec=spec,
             dataset=Dataset(features=np.array([[1.0]]), targets=np.zeros(1)),
         )
-        detection = run_pflug_detection(problem, 1.5, np.ones(1), RngStream(0), 10)
-        assert detection == 2
+        detection = run_pflug_detection(problem, 1.5, [np.ones(1)], [RngStream(0)], 10)
+        assert detection == [2]
 
     def test_noiseless_never_detects(self):
         spec = make_default_spec("linear", RngStream(19), noise_sd=0.0)
         problem = build_problem(spec)
-        for seed in range(3):
-            detection = run_pflug_detection(
-                problem, 1e-3, reversed_start(spec), RngStream(seed), 5
-            )
-            assert detection is None
+        starts = [reversed_start(spec)] * 3
+        detection = run_pflug_detection(
+            problem, 1e-3, starts, [RngStream(seed) for seed in range(3)], 5
+        )
+        assert detection == [None] * 3
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_rows_equal_one_row_calls(self, family, linear_problem, logistic_problem):
+        # Near the optimum rows fire at different epochs (and on the
+        # logistic family some never do): a fired row drops out while the
+        # others keep stepping, and every row reads as it does alone.
+        problem = linear_problem if family == "linear" else logistic_problem
+        base = start_point(problem.spec, "near-opt")
+        starts = [perturbed_start(base, RngStream(40).fork(r)) for r in range(20)]
+        rngs = [RngStream(41).fork(r) for r in range(20)]
+        rows = run_pflug_detection(problem, 1e-2, starts, rngs, 8)
+        alone = [run_pflug_detection(problem, 1e-2, [s], [g], 8)[0] for s, g in zip(starts, rngs)]
+        assert rows == alone
+        assert len(set(rows)) >= 3
+
+    def test_divergence_names_the_row_and_step(self):
+        # Drawing the last data row overflows the iterate.  In epoch 1 row 0
+        # fires and rows 1 and 4 diverge: the first of them in row order is
+        # named, with the step its one-row call reports.
+        spec = ProblemSpec(
+            family="linear", n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
+            data_seed=RngStream(0),
+        )
+        features = np.array([[1.0], [0.5], [-1.0], [1e154]])
+        problem = Problem(spec=spec, dataset=Dataset(features=features, targets=np.zeros(4)))
+        starts, rngs = [np.array([1e154])] * 6, [RngStream(4).fork(r) for r in range(6)]
+        assert run_pflug_detection(problem, 10.0, starts[:1], rngs[:1], 5) == [1]
+        with pytest.raises(DivergenceError) as alone:
+            run_pflug_detection(problem, 10.0, starts[1:2], rngs[1:2], 5)
+        with pytest.raises(DivergenceError) as excinfo:
+            run_pflug_detection(problem, 10.0, starts, rngs, 5)
+        err = excinfo.value
+        assert (alone.value.row, alone.value.step) == (0, 3)
+        assert (err.row, err.step) == (1, 3)
+        assert str(err) == "iterate diverged at step 3"
+        # Drawn last in epoch 1, the big row leaves a finite residual but
+        # overflows the iterate and the sum (to -inf): a detection, not a
+        # divergence, as in a per-sample run that checks each residual.
+        assert run_pflug_detection(problem, 10.0, [np.ones(1)], [RngStream(1)], 5) == [1]
+
+    def test_budget_validation(self, small_linear_problem):
+        with pytest.raises(ValueError):
+            run_pflug_detection(small_linear_problem, 1e-3, [np.zeros(4)], [RngStream(0)], -1)
+        assert run_pflug_detection(small_linear_problem, 1e-3, [np.zeros(4)], [RngStream(0)], 0) == [None]
 
 
 class TestSplitDetection:
