@@ -10,7 +10,12 @@ Run from the root of a checkout.  For each tree it records:
   of R = 1 and of R = 100 replications accumulating consecutive-gradient
   products: rows of ``core.lockstep_steps(products=...)``, or, on a tree
   whose ``sgd_steps`` still takes ``products``, R single-row calls of it,
-  generator set-up included), µs per diagnostic gradient eval
+  generator set-up included), ms per replication of split detection at
+  the README ``race`` settings (``eta = 1e-3``, reversed start, default
+  diagnostic and thread length, 1000-epoch cap; R = 1 and R = 100
+  replications in one ``optimizers.run_split_detection`` call, or, on a
+  tree whose call takes one start, R one-row calls, generator set-up
+  included; a fifth of ``--repeats`` timings), µs per diagnostic gradient eval
   (one ``run_diagnostic`` at w = 20, l = 50, and the diagnostic threads of
   a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
   replication-step (``core.lockstep_steps`` without windows at R = 250, on
@@ -66,8 +71,8 @@ COMMANDS = {
         "mc", "--problem", "linear", "--eta", "1e-2", "--burn-in-epochs", "60",
         "--reps", "250", "--window-index", "2", "--raw",
     ],
-    # Not benchmark workloads: pflug as one block of 4 and of 100 lockstep
-    # rows, after each replication's split detection.
+    # Not benchmark workloads: both detectors, each running one block of 4
+    # and of 100 replications as lockstep rows.
     "race": ["race", "--reps", "4", "--max-epochs", "40", "--threads", "1"],
     "race-100": ["race", "--reps", "100", "--max-epochs", "20", "--threads", "1"],
 }
@@ -79,14 +84,16 @@ from splitsgd._csvio import write_csv
 from splitsgd.analysis import CoherenceStudy, coherence_histogram
 from splitsgd.core import RngStream, lockstep_steps, sgd_steps
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
-from splitsgd.objectives import build_problem, full_loss, make_default_spec, reversed_start
+from splitsgd.objectives import build_problem, full_loss, make_default_spec, perturbed_start
+from splitsgd.objectives import reversed_start
+from splitsgd.optimizers import SplitSgdConfig, run_split_detection
 
 repeats = int(sys.argv[1])
 spec = make_default_spec("linear", RngStream(0))
 problem = build_problem(spec)
 ds = problem.dataset
 
-def median_time(fn):
+def median_time(fn, repeats=repeats):
     times = []
     for k in range(repeats):
         t = time.perf_counter()
@@ -114,6 +121,18 @@ def pflug_rows(rows):
                           RngStream(k).fork(r).generator(), products=GradientProducts())
     return median_time(run) / (rows * n)
 pflug_1, pflug_100 = pflug_rows(1), pflug_rows(100)
+split_cfg = SplitSgdConfig(eta=1e-3)
+def split_rows(rows):
+    def run(k):
+        starts = [perturbed_start(start, RngStream(k).fork(2 * r)) for r in range(rows)]
+        rngs = [RngStream(k).fork(2 * r + 1) for r in range(rows)]
+        if "thetas0" in inspect.signature(run_split_detection).parameters:
+            run_split_detection(problem, split_cfg, starts, rngs, 1000)
+        else:
+            for theta0, rng in zip(starts, rngs):
+                run_split_detection(problem, split_cfg, theta0, rng, 1000)
+    return median_time(run, max(1, repeats // 5)) / rows
+split_1, split_100 = split_rows(1), split_rows(100)
 cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)
 one = median_time(lambda k: run_diagnostic(problem, start, cfg, RngStream(k)))
 study = CoherenceStudy(problem=problem, eta=1e-2, window_index=2, windows=20, replications=40)
@@ -138,6 +157,8 @@ print(json.dumps({
     "main_thread_us_per_step": 1e6 * step / n,
     "pflug_us_per_row_step_r1": 1e6 * pflug_1,
     "pflug_us_per_row_step_r100": 1e6 * pflug_100,
+    "split_ms_per_rep_r1": 1e3 * split_1,
+    "split_ms_per_rep_r100": 1e3 * split_100,
     "diagnostic_us_per_eval": 1e6 * one / (2 * cfg.w * cfg.l),
     "mc_diagnostic_us_per_eval": 1e6 * many / (2 * 40 * 20 * 50),
     "burn_in_ns_per_rep_step": 1e9 * burn_s / (R * steps),

@@ -3,8 +3,8 @@
 The package bundles:
 
 * the per-sample SGD loop of every single-iterate schedule, the lockstep
-  loop of the Monte-Carlo burn-in, every diagnostic and the pflug detector,
-  the random streams and the error types (:mod:`splitsgd.core`),
+  loop of the Monte-Carlo burn-in, every diagnostic and both detectors of
+  the race, the random streams and the error types (:mod:`splitsgd.core`),
 * synthetic linear / logistic regression benchmarks with per-datum and
   full losses and gradients (:mod:`splitsgd.objectives`),
 * the two-thread gradient-coherence diagnostic (:mod:`splitsgd.diagnostic`),

@@ -90,7 +90,7 @@ def coherence_histogram(
     cosines (clamped to [-1, 1], 0 where a window mean vanishes) when the
     study asks for normalized ones.  Replications that diverge, in the
     burn-in or in either diagnostic thread, are dropped from the histogram
-    and counted.
+    and counted, as are those whose recorded coherence is not finite.
     """
     problem = build_problem(study.problem)
     dataset = problem.dataset
@@ -124,10 +124,13 @@ def coherence_histogram(
         diag_cfg,
         [rep_streams[r].fork(_CHILD_DIAGNOSTIC) for r in kept_reps],
     )
-    ok = (failed < 0).all(axis=0)
+    means_1, means_2 = means[study.window_index - 1]
+    # Overflowing window means are a divergence, counted below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.vecdot(means_1, means_2)
+    ok = (failed < 0).all(axis=0) & np.isfinite(values)
     diverged = int(n_rep - ok.sum())
-    means_1, means_2 = means[study.window_index - 1][:, ok]
-    values = np.vecdot(means_1, means_2)
+    means_1, means_2, values = means_1[ok], means_2[ok], values[ok]
     if study.normalized:
         norms = np.sqrt(np.vecdot(means_1, means_1)) * np.sqrt(np.vecdot(means_2, means_2))
         # Rounding can push the quotient past +/-1 by an ulp.

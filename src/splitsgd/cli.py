@@ -283,23 +283,22 @@ def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t
 
 
 def _race_block(payload):
-    """Both detectors for a block of replications: split detection one at a
-    time, then pflug detection of all of them as rows of one lockstep run.
-    A divergence names the replication and the detector."""
+    """Both detectors for a block of replications, each running all of them
+    as rows of one lockstep run: split detection, then pflug detection.  A
+    divergence names the replication and the detector."""
     (problem, base, reps, master_seed, cfg, max_epochs) = payload
     streams = [_experiment_stream(master_seed).fork(rep) for rep in reps]
     starts = [perturbed_start(base, stream.fork(START_STREAM_CHILD)) for stream in streams]
-    split = []
+    detector = "split"
     try:
-        for stream, theta0 in zip(streams, starts):
-            split.append(run_split_detection(problem, cfg, theta0, stream.fork(_CHILD_SPLIT),
-                                             max_epochs))
+        rngs = [stream.fork(_CHILD_SPLIT) for stream in streams]
+        split = run_split_detection(problem, cfg, starts, rngs, max_epochs)
+        detector = "pflug"
         rngs = [stream.fork(_CHILD_PFLUG) for stream in streams]
         pflug = run_pflug_detection(problem, cfg.eta, starts, rngs, max_epochs)
     except DivergenceError as err:
-        detector, row = ("split", len(split)) if len(split) < len(reps) else ("pflug", err.row)
-        message = f"replication {reps[row]}, {detector} detector: {err}"
-        raise DivergenceError(message, err.step, err.thread, reps[row])
+        message = f"replication {reps[err.row]}, {detector} detector: {err}"
+        raise DivergenceError(message, err.step, err.thread, reps[err.row])
     return list(zip(reps, split, pflug))
 
 

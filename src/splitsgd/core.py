@@ -5,12 +5,12 @@ this module adds their validation helpers, the seeded/forkable
 random-stream handle, the error types and the two SGD loops, which share
 one residual and one update rounding, ``theta - (eta * r) * x``.
 :func:`sgd_steps` steps one iterate per sample and runs every
-single-iterate optimizer path: the constant-rate, ``1/sqrt(t)`` and
-halving drivers and SplitSGD's main thread.  Its step allocates nothing.
-:func:`lockstep_steps` steps R iterates side by side, each on its own
-stream, and runs the ``mc`` burn-in of all replications, every two-thread
-diagnostic (adding up window gradient sums) and the pflug detector of
-every ``race`` replication (adding up consecutive-gradient products); each
+single-iterate schedule: SplitSGD's main thread (constant rate when it
+runs no diagnostics) and the ``1/sqrt(t)`` and halving drivers.  Its step
+allocates nothing.  :func:`lockstep_steps` steps R iterates side by side,
+each on its own stream, and runs the ``mc`` burn-in of all replications,
+every two-thread diagnostic (adding up window gradient sums) and both
+``race`` detectors (pflug's adding up consecutive-gradient products); each
 of its rows equals :func:`sgd_steps` on the same generator bit for bit,
 which stays the faster of the two at R = 1.
 """

@@ -11,7 +11,8 @@ gradients are averaged per window; the inner products of paired window means
 trend and approach fair coin flips once the iterates bounce around a
 stationary distribution.  The decision rule counts negative coherences
 against a q*w threshold.  A diverging diagnostic raises DivergenceError
-naming the thread (thread 1 if it diverged, else thread 2) and its step.
+naming the thread (thread 1 if it diverged, else thread 2) and its step, or,
+with both threads finite, the first window whose coherence is not finite.
 
 The sign balance is not immediate even at stationarity: both threads start
 from the same theta_in, so window i's mean gradient carries a conditional
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DivergenceError,
-    RngStream,
-    as_param_vector,
-    check_step_size,
-    lockstep_steps,
-)
+from .core import DivergenceError, RngStream, as_param_vector, check_step_size, lockstep_steps
 from .objectives import Problem
 
 __all__ = [
@@ -123,6 +118,32 @@ def _two_thread_window_means(
     )
 
 
+def _coherences(means: np.ndarray, failed: np.ndarray, rows=None) -> np.ndarray:
+    """Coherences ``(w, R)`` of a :func:`_two_thread_window_means` result.
+
+    Raises DivergenceError for the first row with a diverged thread (thread
+    1 named first) or, its threads finite, a non-finite coherence; its
+    ``row`` is ``rows[r]``, or None without ``rows``.
+    """
+    # Overflowing window means are a divergence signal, raised below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coherences = np.vecdot(means[:, 0], means[:, 1])
+    bad = (failed >= 0).any(axis=0) | ~np.isfinite(coherences).all(axis=0)
+    if bad.any():
+        r = int(bad.argmax())
+        row = None if rows is None else int(rows[r])
+        for k in (0, 1):
+            step = int(failed[k, r])
+            if step >= 0:
+                raise DivergenceError(f"diagnostic thread {k + 1} diverged at step {step}",
+                                      step=step, thread=k + 1, row=row)
+        window = int((~np.isfinite(coherences[:, r])).argmax()) + 1
+        raise DivergenceError(
+            f"diagnostic coherence {window} of {len(coherences)} is not finite", row=row
+        )
+    return coherences
+
+
 def run_diagnostic(
     problem: Problem,
     theta_in: np.ndarray,
@@ -133,22 +154,12 @@ def run_diagnostic(
 
     Costs exactly 2*w*l gradient draws.  Each thread starts from theta_in
     with its own child stream of ``rng``.  A divergence names thread 1 if
-    thread 1 diverged, else thread 2.
+    thread 1 diverged, else thread 2; with both threads finite, a
+    non-finite coherence (overflowing window means) is a divergence too.
     """
     theta_in = as_param_vector(theta_in, require_finite=False)
     means, thetas, failed = _two_thread_window_means(problem, theta_in[None], cfg, [rng])
-    for k in (0, 1):
-        step = int(failed[k, 0])
-        if step >= 0:
-            raise DivergenceError(
-                f"diagnostic thread {k + 1} diverged at step {step}", step=step, thread=k + 1
-            )
-    coherences = np.vecdot(means[:, 0, 0], means[:, 1, 0])
+    coherences = _coherences(means, failed)[:, 0]
     stationary, negative_count = decide(coherences, cfg.q)
     theta_d = (thetas[0, 0] + thetas[1, 0]) / 2.0
-    return DiagnosticResult(
-        theta_d=theta_d,
-        stationary=stationary,
-        coherences=coherences,
-        negative_count=negative_count,
-    )
+    return DiagnosticResult(theta_d, stationary, coherences, negative_count)

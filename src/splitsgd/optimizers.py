@@ -8,8 +8,8 @@ two threads conceptually run in parallel.  They log the full loss once per
 epoch boundary (an epoch is n budget units) and return a trace that also
 carries the true gradient-evaluation count, which includes both diagnostic
 threads (2*w*l per diagnostic).  The two detectors that ``race`` compares
-return only the epoch of their first detection; the pflug detector runs
-many replications as rows of :func:`splitsgd.core.lockstep_steps`.
+return only the epoch of their first detection, each running many
+replications as rows of :func:`splitsgd.core.lockstep_steps`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from ._csvio import write_csv
 from .core import DivergenceError, RngStream, as_param_vector, check_step_size
 from .core import lockstep_steps, sgd_steps
-from .diagnostic import DiagnosticConfig, run_diagnostic
+from .diagnostic import DiagnosticConfig, _coherences, _two_thread_window_means, decide
+from .diagnostic import run_diagnostic
 from .objectives import Problem, full_loss
 
 __all__ = [
@@ -149,14 +150,13 @@ class _EpochLog:
     attached to the first record written at or after the event occurred.
     """
 
-    def __init__(self, problem: Problem, budget_epochs: int, record_loss: bool = True):
+    def __init__(self, problem: Problem, budget_epochs: int):
         if budget_epochs < 0:
             raise ValueError(f"the epoch budget must be >= 0, got {budget_epochs}")
         self.dataset = problem.dataset
         self.family = problem.spec.family
         self.n = problem.spec.n
         self.budget = budget_epochs * self.n
-        self.record_loss = record_loss
         self.charged = 0
         self.evals = 0
         self.epoch = 0
@@ -169,27 +169,20 @@ class _EpochLog:
 
     def log_initial(self, theta: np.ndarray, eta: float) -> None:
         self.current_eta = eta
-        if self.record_loss:
-            self.records.append(
-                TraceRecord(0, 0, eta, full_loss(self.dataset, self.family, theta), EVENT_NONE)
-            )
+        self.records.append(
+            TraceRecord(0, 0, eta, full_loss(self.dataset, self.family, theta), EVENT_NONE)
+        )
 
     def advance(self, units: int, evals: int, theta: np.ndarray) -> None:
         self.charged += units
         self.evals += evals
         while self.charged >= (self.epoch + 1) * self.n:
             self.epoch += 1
-            if self.record_loss:
-                self.records.append(
-                    TraceRecord(
-                        self.epoch,
-                        self.evals,
-                        self.current_eta,
-                        full_loss(self.dataset, self.family, theta),
-                        self.pending,
-                    )
-                )
-                self.pending = EVENT_NONE
+            loss = full_loss(self.dataset, self.family, theta)
+            self.records.append(
+                TraceRecord(self.epoch, self.evals, self.current_eta, loss, self.pending)
+            )
+            self.pending = EVENT_NONE
 
 
 def _run_segment(
@@ -212,22 +205,6 @@ def _run_segment(
         )
         log.advance(k, k, theta)
         steps -= k
-
-
-def run_constant_sgd(
-    problem: Problem,
-    eta: float,
-    theta0: np.ndarray,
-    rng: RngStream,
-    budget_epochs: int,
-) -> RunTrace:
-    """Plain SGD at a fixed step size for ``budget_epochs`` epochs."""
-    check_step_size(eta)
-    theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, budget_epochs)
-    log.log_initial(theta, eta)
-    _run_segment(theta, eta, log.budget, rng.generator(), log)
-    return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
 
 
 def sqrt_decay_schedule(eta: float, t):
@@ -294,68 +271,6 @@ def run_sgd_half(
     return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
 
 
-def _splitsgd_engine(
-    problem: Problem,
-    cfg: SplitSgdConfig,
-    theta0: np.ndarray,
-    rng: RngStream,
-    budget_epochs: int,
-    *,
-    record_loss: bool = True,
-    stop_on_detection: bool = False,
-) -> tuple[RunTrace, int | None]:
-    theta = as_param_vector(theta0).copy()
-    n = problem.spec.n
-    log = _EpochLog(problem, budget_epochs, record_loss=record_loss)
-    log.log_initial(theta, cfg.eta)
-    gen = rng.generator()
-    state = ScheduleState(cfg.eta, cfg.t1)
-    events: list[DiagnosticEvent] = []
-    diag_cost = cfg.w * cfg.l
-    diags_done = 0
-    detection_epoch: int | None = None
-
-    while log.charged < log.budget:
-        remaining = log.budget - log.charged
-        steps = remaining if diags_done >= cfg.B else min(state.current_thread_length, remaining)
-        _run_segment(theta, state.current_eta, steps, gen, log)
-        remaining = log.budget - log.charged
-        if remaining <= 0 or diags_done >= cfg.B or remaining < diag_cost:
-            # No room (or no budget) for another full diagnostic; the loop
-            # either exits or keeps threading to the end of the budget.
-            continue
-        diags_done += 1
-        diag_cfg = DiagnosticConfig(eta=state.current_eta, w=cfg.w, l=cfg.l, q=cfg.q)
-        result = run_diagnostic(problem, theta, diag_cfg, rng.fork(diags_done))
-        theta = result.theta_d.copy()
-        if result.stationary:
-            state = state.after_detection(cfg.gamma)
-            log.pending = EVENT_DIAG_S
-        else:
-            log.pending = EVENT_DIAG_N
-        log.current_eta = state.current_eta
-        log.advance(diag_cost, 2 * diag_cost, theta)
-        events.append(
-            DiagnosticEvent(
-                index=diags_done,
-                stationary=result.stationary,
-                negative_count=result.negative_count,
-                state=state,
-            )
-        )
-        if stop_on_detection and result.stationary:
-            detection_epoch = math.ceil(log.charged / n)
-            break
-
-    trace = RunTrace(
-        records=log.records,
-        final_theta=theta,
-        total_evals=log.evals,
-        diagnostics=events,
-    )
-    return trace, detection_epoch
-
-
 def run_splitsgd(
     problem: Problem,
     cfg: SplitSgdConfig,
@@ -370,23 +285,106 @@ def run_splitsgd(
     midpoint of the two diagnostic threads.  At most cfg.B diagnostics are
     run; the budget (in epochs) always governs the run length.
     """
-    trace, _ = _splitsgd_engine(problem, cfg, theta0, rng, budget_epochs)
-    return trace
+    theta = as_param_vector(theta0).copy()
+    log = _EpochLog(problem, budget_epochs)
+    log.log_initial(theta, cfg.eta)
+    gen = rng.generator()
+    state = ScheduleState(cfg.eta, cfg.t1)
+    events: list[DiagnosticEvent] = []
+    diag_cost = cfg.w * cfg.l
+    while log.charged < log.budget:
+        remaining = log.budget - log.charged
+        steps = remaining if len(events) >= cfg.B else min(state.current_thread_length, remaining)
+        _run_segment(theta, state.current_eta, steps, gen, log)
+        remaining = log.budget - log.charged
+        if remaining <= 0 or len(events) >= cfg.B or remaining < diag_cost:
+            # No room (or no budget) for another full diagnostic; the loop
+            # either exits or keeps threading to the end of the budget.
+            continue
+        diag_cfg = DiagnosticConfig(eta=state.current_eta, w=cfg.w, l=cfg.l, q=cfg.q)
+        result = run_diagnostic(problem, theta, diag_cfg, rng.fork(len(events) + 1))
+        theta = result.theta_d.copy()
+        if result.stationary:
+            state = state.after_detection(cfg.gamma)
+            log.pending = EVENT_DIAG_S
+        else:
+            log.pending = EVENT_DIAG_N
+        log.current_eta = state.current_eta
+        log.advance(diag_cost, 2 * diag_cost, theta)
+        events.append(
+            DiagnosticEvent(len(events) + 1, result.stationary, result.negative_count, state)
+        )
+    return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals,
+                    diagnostics=events)
+
+
+def run_constant_sgd(
+    problem: Problem,
+    eta: float,
+    theta0: np.ndarray,
+    rng: RngStream,
+    budget_epochs: int,
+) -> RunTrace:
+    """Plain SGD at a fixed step size for ``budget_epochs`` epochs: SplitSGD
+    with no diagnostics."""
+    return run_splitsgd(problem, SplitSgdConfig(eta=eta, B=0), theta0, rng, budget_epochs)
 
 
 def run_split_detection(
     problem: Problem,
     cfg: SplitSgdConfig,
-    theta0: np.ndarray,
-    rng: RngStream,
+    thetas0,
+    rngs: list[RngStream],
     max_epochs: int = 1000,
-) -> int | None:
-    """Epochs consumed until the first stationary verdict (threads plus
-    diagnostics, in budget units), or None if the budget cap is reached."""
-    _, detection = _splitsgd_engine(
-        problem, cfg, theta0, rng, max_epochs, record_loss=False, stop_on_detection=True
-    )
-    return detection
+) -> list[int | None]:
+    """SplitSGD from every start in ``thetas0`` (start r drawing from
+    ``rngs[r]``) until its first stationary verdict; reports per run the
+    epochs consumed by then (threads plus diagnostics, in budget units,
+    rounded up), or None when ``max_epochs`` pass without one.
+
+    Until that verdict every run keeps rate ``cfg.eta`` and threads of
+    ``cfg.t1`` steps, so the runs are rows of one lockstep loop: a thread
+    is one call over the live rows, a diagnostic one two-thread call, and a
+    fired row steps no further, so each reads as a one-row call.  A
+    divergence raises DivergenceError whose ``row`` names the run; on a
+    main thread its ``step`` counts every draw of that run (an iterate that
+    overflows on a thread's last step fails there), in a diagnostic the
+    draws of thread ``thread``.
+    """
+    if max_epochs < 0:
+        raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
+    thetas = np.stack([as_param_vector(theta) for theta in thetas0])
+    data, n, rows = problem.dataset, problem.spec.n, np.arange(len(rngs))
+    gens = [rng.generator() for rng in rngs]
+    diag_cfg = DiagnosticConfig(eta=cfg.eta, w=cfg.w, l=cfg.l, q=cfg.q)
+    budget, diag_cost, charged, diags = max_epochs * n, cfg.w * cfg.l, 0, 0
+    detected: list[int | None] = [None] * len(gens)
+    while charged < budget and gens:
+        remaining = budget - charged
+        steps = remaining if diags >= cfg.B else min(cfg.t1, remaining)
+        _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas,
+                                   cfg.eta, steps, gens)
+        diverged = np.flatnonzero(failed >= 0)
+        if diverged.size:
+            row, step = int(rows[diverged[0]]), charged + diags * diag_cost + int(failed[diverged[0]])
+            raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
+        charged += steps
+        remaining = budget - charged
+        if remaining <= 0 or diags >= cfg.B or remaining < diag_cost:
+            continue
+        diags += 1
+        means, ends, failed = _two_thread_window_means(
+            problem, thetas, diag_cfg, [rngs[row].fork(diags) for row in rows]
+        )
+        coherences = _coherences(means, failed, rows)
+        thetas = (ends[0] + ends[1]) / 2.0
+        charged += diag_cost
+        fired = np.array([decide(values, cfg.q)[0] for values in coherences.T])
+        for row in rows[fired]:
+            detected[row] = math.ceil(charged / n)
+        rows, thetas = rows[~fired], thetas[~fired]
+        gens = [gen for gen, done in zip(gens, fired) if not done]
+    return detected
 
 
 def run_pflug_detection(

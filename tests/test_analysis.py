@@ -162,6 +162,19 @@ class TestCoherenceHistogram:
         assert summary.negative_fraction == 0.0
         assert all(value > 0 for _, value in rows)
 
+    def test_overflowing_coherence_counts_as_diverged(self):
+        # Frozen iterates keep both threads finite, but the recorded
+        # coherence of the one row's gradient (1e200 * theta^2) overflows:
+        # every replication is dropped and counted as diverged.
+        problem = _problem([[1e100]], [0.0])
+        study = CoherenceStudy(
+            problem=problem, eta=0.0, replications=4, window_index=1, l=2,
+            start="near-opt", start_noise_sd=1.0,
+        )
+        rows, summary = coherence_histogram(study, RngStream(0))
+        assert rows == []
+        assert (summary.kept, summary.diverged) == (0, 4)
+
     def test_summary_statistics_match_rows(self, small_linear_problem):
         study = CoherenceStudy(
             problem=small_linear_problem, eta=1e-2, replications=30, window_index=1, l=6

@@ -295,15 +295,17 @@ class TestRace:
         assert outputs[0] == outputs[1]
 
     def test_divergence_names_the_replication(self, tmp_path, capsys):
-        # At eta = 0.2 replication 0 stays finite and replication 1's split
-        # detector diverges on its main thread.
+        # At eta = 0.2 replication 0 stays finite, and replication 1's second
+        # split diagnostic ends on finite threads whose window means
+        # overflow: not one of its 20 coherences is finite.
         with pytest.raises(SystemExit) as exc:
             main([
                 "race", "--eta", "0.2", "--reps", "6", "--max-epochs", "6", "--t1-epochs", "1",
                 "--out", str(tmp_path / "x.csv"),
             ])
         assert exc.value.code == 3
-        assert "replication 1, split detector: iterate diverged at step" in capsys.readouterr().err
+        message = "replication 1, split detector: diagnostic coherence 1 of 20 is not finite"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_pflug_divergence_names_the_replication_of_its_row(self, monkeypatch):

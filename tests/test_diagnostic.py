@@ -222,6 +222,20 @@ class TestRunDiagnostic:
             run_diagnostic(problem, np.array([1e154]), cfg, rng=RngStream(0))
         assert (excinfo.value.thread, excinfo.value.step) == (1, 0)
 
+    def test_overflowing_coherence_is_divergence(self):
+        # Frozen iterates keep both threads finite, but every window mean
+        # (the gradient 1e160) squares past the float range: a coherence
+        # that is not finite, not a positive sign.
+        problem = _one_row_problem([1e80], 0.0)
+        cfg = DiagnosticConfig(eta=0.0, w=3, l=2, q=0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as excinfo:
+                run_diagnostic(problem, np.ones(1), cfg, rng=RngStream(0))
+        err = excinfo.value
+        assert str(err) == "diagnostic coherence 1 of 3 is not finite"
+        assert (err.thread, err.step, err.row) == (None, None, None)
+
     def test_scaling_gradients_scales_coherences_quadratically(self, small_linear_problem):
         # From theta_in = 0, scaling the linear targets by 4 (a power of two,
         # so every rounding scales exactly) scales every residual, iterate

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from splitsgd.core import DivergenceError, RngStream
+from splitsgd.core import DivergenceError, RngStream, sgd_steps
 from splitsgd.objectives import (
     Dataset,
     Problem,
     ProblemSpec,
     build_problem,
+    full_loss,
     make_default_spec,
     perturbed_start,
     reversed_start,
@@ -97,14 +98,21 @@ class TestSplitSgd:
             previous = state
 
     def test_no_diagnostics_is_bit_identical_to_constant_sgd(self, linear_problem):
+        # Constant SGD is SplitSGD with B = 0; it must still be plain SGD,
+        # an epoch of sgd_steps at a time on the same generator.
         theta0 = _start(linear_problem, 31)
-        cfg = SplitSgdConfig(eta=1e-3, B=0)
-        split = run_splitsgd(linear_problem, cfg, theta0, RngStream(8), 5)
         const = run_constant_sgd(linear_problem, 1e-3, theta0.copy(), RngStream(8), 5)
-        assert split.records == const.records
-        assert np.array_equal(split.final_theta, const.final_theta)
-        assert split.total_evals == const.total_evals
-        assert split.diagnostics == []
+        data, n = linear_problem.dataset, linear_problem.spec.n
+        theta, gen = theta0.copy(), RngStream(8).generator()
+        losses = [full_loss(data, "linear", theta)]
+        for _ in range(5):
+            sgd_steps(data.features, data.targets, "linear", theta, 1e-3, n, gen)
+            losses.append(full_loss(data, "linear", theta))
+        assert np.array_equal(const.final_theta, theta)
+        assert [record.full_loss for record in const.records] == losses
+        assert [record.gradient_evals for record in const.records] == [k * n for k in range(6)]
+        assert const.total_evals == 5 * n
+        assert const.diagnostics == []
 
     def test_budget_accounting(self, linear_problem):
         cfg = SplitSgdConfig(eta=1e-2, w=20, l=50, q=0.4, t1=4000)
@@ -335,16 +343,15 @@ class TestSplitDetection:
     def test_unconditional_threshold_detects_at_first_diagnostic(self, linear_problem):
         cfg = SplitSgdConfig(eta=1e-3, q=0.0)
         detection = run_split_detection(
-            linear_problem, cfg, _start(linear_problem, 5), RngStream(5), 100
+            linear_problem, cfg, [_start(linear_problem, 5)], [RngStream(5)], 100
         )
-        assert detection == cfg.t1 // linear_problem.spec.n + 1
+        assert detection == [cfg.t1 // linear_problem.spec.n + 1]
 
     def test_impossible_threshold_exhausts_budget(self, small_linear_problem):
         cfg = SplitSgdConfig(eta=1e-3, w=4, l=5, q=1.0, t1=40)
-        assert (
-            run_split_detection(small_linear_problem, cfg, np.zeros(4), RngStream(6), 10)
-            is None
-        )
+        assert run_split_detection(
+            small_linear_problem, cfg, [np.zeros(4)], [RngStream(6)], 10
+        ) == [None]
 
     def test_near_optimum_detects_on_the_diagnostic_lattice(self, linear_problem):
         # Before the first detection every diagnostic ends after exactly
@@ -352,15 +359,68 @@ class TestSplitDetection:
         # multiples of 5; near the optimum at this rate a detection should
         # arrive within a handful of diagnostics.
         cfg = SplitSgdConfig(eta=1e-2)
-        detections = []
-        for seed in range(5):
-            stream = RngStream(100).fork(seed)
-            theta0 = perturbed_start(linear_problem.spec.theta_star, stream.fork(0))
-            detections.append(
-                run_split_detection(linear_problem, cfg, theta0, stream.fork(1), 100)
-            )
+        streams = [RngStream(100).fork(seed) for seed in range(5)]
+        starts = [perturbed_start(linear_problem.spec.theta_star, s.fork(0)) for s in streams]
+        detections = run_split_detection(
+            linear_problem, cfg, starts, [s.fork(1) for s in streams], 100
+        )
         assert all(d is not None and d % 5 == 0 and d <= 50 for d in detections)
         assert min(detections) == 5
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_rows_equal_one_row_calls(self, family, linear_problem, logistic_problem):
+        # Near the optimum, at q = 0.55, rows fire at different diagnostics
+        # and some reach the cap: a fired row drops out while the others keep
+        # stepping, and every row reads as it does alone.
+        problem = linear_problem if family == "linear" else logistic_problem
+        cfg = SplitSgdConfig(eta=1e-2, q=0.55, t1=1000)
+        base = start_point(problem.spec, "near-opt")
+        starts = [perturbed_start(base, RngStream(40).fork(r)) for r in range(20)]
+        rngs = [RngStream(41).fork(r) for r in range(20)]
+        rows = run_split_detection(problem, cfg, starts, rngs, 8)
+        alone = [run_split_detection(problem, cfg, [s], [g], 8)[0] for s, g in zip(starts, rngs)]
+        assert rows == alone
+        assert None in rows
+        assert len(set(rows)) >= 4
+
+    def test_divergence_names_the_row_thread_and_step(self):
+        # Drawing the last data row overflows the iterate, and q = 1 keeps
+        # every run undetected.  Run 0 starts at the optimum and stays there;
+        # alone, run 1 diverges on its second main thread, at step
+        # 13 = 4 + 2 * 4 + 1 of all its draws, and run 2 in thread 2 of its
+        # first diagnostic.  Among rows, the first call in which any row
+        # diverges names the first such row, with its one-row thread and step.
+        spec = ProblemSpec(
+            family="linear", n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
+            data_seed=RngStream(0),
+        )
+        features = np.array([[1.0], [0.5], [-1.0], [1e154]])
+        problem = Problem(spec=spec, dataset=Dataset(features=features, targets=np.zeros(4)))
+        cfg = SplitSgdConfig(eta=0.1, w=2, l=2, q=1.0, t1=4)
+        starts = [np.zeros(1), np.ones(1), np.ones(1)]
+        rngs = [RngStream(2).fork(r) for r in range(3)]
+
+        def error(rows):
+            with pytest.raises(DivergenceError) as excinfo:
+                run_split_detection(
+                    problem, cfg, [starts[r] for r in rows], [rngs[r] for r in rows], 5
+                )
+            err = excinfo.value
+            return err.row, err.thread, err.step, str(err)
+
+        assert run_split_detection(problem, cfg, starts[:1], rngs[:1], 5) == [None]
+        main, diag = "iterate diverged at step 13", "diagnostic thread 2 diverged at step 1"
+        assert error([1]) == (0, None, 13, main)
+        assert error([0, 1]) == (1, None, 13, main)
+        assert error([2]) == (0, 2, 1, diag)
+        assert error([0, 2]) == (1, 2, 1, diag)
+        assert error([0, 1, 2]) == (2, 2, 1, diag)
+
+    def test_budget_validation(self, small_linear_problem):
+        cfg = SplitSgdConfig(eta=1e-3, w=4, l=5, t1=40)
+        with pytest.raises(ValueError):
+            run_split_detection(small_linear_problem, cfg, [np.zeros(4)], [RngStream(0)], -1)
+        assert run_split_detection(small_linear_problem, cfg, [np.zeros(4)], [RngStream(0)], 0) == [None]
 
 
 class TestTraceUtilities:
