@@ -27,6 +27,8 @@ Run from the root of a checkout.  For each tree it records:
   ``compare`` and ``mc-stationary`` benchmark commands and of two ``race``
   runs (4 replications over 40 epochs, and 100 over 20), measured by
   ``perfbench/child.py`` exactly as the benchmark measures them;
+* ``src_lines``: the lines of the ``*.py`` files under the tree's
+  ``splitsgd`` package;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0), the
   sidecar's ``artifact_version``, and one ``identical`` or ``moved``
   verdict per command and file.  The script exits 1 only when a file moved
@@ -207,6 +209,10 @@ def execute(src: Path, argv: list[str], work: Path) -> tuple[dict, dict[str, str
     return metrics, digests
 
 
+def src_lines(src: Path) -> int:
+    return sum(len(path.read_bytes().splitlines()) for path in (src / "splitsgd").rglob("*.py"))
+
+
 def _spread(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
@@ -247,6 +253,7 @@ def main(argv=None) -> int:
         "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
                     "python": platform.python_version()},
         "pairs": args.pairs,
+        "src_lines": {side: src_lines(src) for side, src in sides.items()},
         "layers": _paired(layer_samples),
         "end_to_end": {},
         "artifacts": {},

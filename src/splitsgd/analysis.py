@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, check_step_size, lockstep_steps
-from .diagnostic import DiagnosticConfig, _two_thread_window_means
+from .diagnostic import DiagnosticConfig, _two_thread_window_means, _window_coherences
 from .objectives import Problem, ProblemSpec, build_problem, perturbed_start, start_point
 
 __all__ = [
@@ -89,8 +89,9 @@ def coherence_histogram(
     stayed finite, plus a summary.  Values are raw inner products, or
     cosines (clamped to [-1, 1], 0 where a window mean vanishes) when the
     study asks for normalized ones.  Replications that diverge, in the
-    burn-in or in either diagnostic thread, are dropped from the histogram
-    and counted, as are those whose recorded coherence is not finite.
+    burn-in or in the diagnostic (a thread, or any window's coherence, as
+    :func:`splitsgd.diagnostic.run_diagnostic` would raise), are dropped
+    from the histogram and counted.
     """
     problem = build_problem(study.problem)
     dataset = problem.dataset
@@ -124,13 +125,11 @@ def coherence_histogram(
         diag_cfg,
         [rep_streams[r].fork(_CHILD_DIAGNOSTIC) for r in kept_reps],
     )
-    means_1, means_2 = means[study.window_index - 1]
-    # Overflowing window means are a divergence, counted below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.vecdot(means_1, means_2)
-    ok = (failed < 0).all(axis=0) & np.isfinite(values)
+    coherences, bad = _window_coherences(means, failed)
+    ok = ~bad
     diverged = int(n_rep - ok.sum())
-    means_1, means_2, values = means_1[ok], means_2[ok], values[ok]
+    means_1, means_2 = means[study.window_index - 1][:, ok]
+    values = coherences[study.window_index - 1, ok]
     if study.normalized:
         norms = np.sqrt(np.vecdot(means_1, means_1)) * np.sqrt(np.vecdot(means_2, means_2))
         # Rounding can push the quotient past +/-1 by an ulp.

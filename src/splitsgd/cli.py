@@ -6,17 +6,15 @@ artifact gets a ``<out>.meta`` sidecar holding every option of its command
 as resolved for the run.  An option that several commands take is declared
 once below, and every option is named after its long flag, which is also
 its config key and its sidecar key.  Option precedence is flags > config
-file (key=value lines via --config) > built-in defaults; ``--threads``
-reads $SPLITSGD_THREADS after the config file and before its default of 1.
-An out-of-range value, rejected by the configuration it feeds, exits 2
-like any other usage error.
+file (key=value lines via --config) > built-in defaults.  An out-of-range
+value, rejected by the configuration it feeds, exits 2 like any other
+usage error.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -55,7 +53,6 @@ from .optimizers import (
 )
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "SPLITSGD_THREADS"
 
 METHODS = ("splitsgd", "const", "sqrt", "half")
 ETA_SCALES = {"large": 1e-3, "small": 1e-4}
@@ -119,19 +116,6 @@ def _parse_methods(ctx, param, value) -> tuple[str, ...]:
     return methods
 
 
-def _resolve_threads(ctx, param, value) -> int:
-    # Not click's envvar=: that would read the environment before --config.
-    if value is None:
-        raw = os.environ.get(THREADS_ENV, "")
-        try:
-            value = int(raw) if raw else 1
-        except ValueError:
-            raise click.UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise click.UsageError("--threads must be >= 1")
-    return value
-
-
 def _options(*decorators):
     """One decorator applying ``decorators``, listed in --help order."""
     return lambda fn: functools.reduce(lambda f, dec: dec(f), reversed(decorators), fn)
@@ -143,7 +127,7 @@ etas_option = click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,
 epochs_option = click.option("--epochs", type=int, default=100, show_default=True)
 start_option = click.option("--start", type=click.Choice(START_POINTS), default="reversed", show_default=True)
 l_option = click.option("--l", type=int, default=50, show_default=True)
-threads_option = click.option("--threads", type=int, default=None, callback=_resolve_threads, help=f"Worker processes (default: ${THREADS_ENV} or 1).")
+threads_option = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 schedule_options = _options(
     start_option,
     click.option("--t1-epochs", type=int, default=4, show_default=True),

@@ -12,7 +12,12 @@ each on its own stream, and runs the ``mc`` burn-in of all replications,
 every two-thread diagnostic (adding up window gradient sums) and both
 ``race`` detectors (pflug's adding up consecutive-gradient products); each
 of its rows equals :func:`sgd_steps` on the same generator bit for bit,
-which stays the faster of the two at R = 1.
+divergence step included, and :func:`sgd_steps` stays the faster at R = 1.
+
+Both loops follow one divergence rule: a run diverges at its first draw
+whose residual is not finite, or, when every residual stayed finite but the
+iterate the last step leaves is not, at that last step.  The schedules,
+the detectors, the diagnostic and the Monte-Carlo study all follow it.
 """
 
 from __future__ import annotations
@@ -148,9 +153,8 @@ def sgd_steps(
     rounded elementwise as written.  ``eta`` is one step size, or an array
     holding (at least) one per step.
 
-    Divergence policy: a non-finite residual raises DivergenceError whose
-    ``step`` is ``first_step`` plus the index of the draw in this call.  An
-    iterate that overflows on the last step is left for the caller to check.
+    A divergence (see the module docstring) raises DivergenceError whose
+    ``step`` is ``first_step`` plus the index of the failing step in this call.
     """
     n, d = features.shape
     if theta.shape != (d,):
@@ -164,7 +168,7 @@ def sgd_steps(
     scale, step = np.empty(()), np.empty(d)
     multiply, subtract, isfinite = np.multiply, np.subtract, math.isfinite
     # Overflow on a blown-up iterate is the divergence signal, not an
-    # anomaly: the next residual goes non-finite and raises.
+    # anomaly: a later residual or the final iterate goes non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, steps, _CHUNK):
             # The index list runs out first, so zip draws no step number or
@@ -179,6 +183,9 @@ def sgd_steps(
                 scale[()] = e * r
                 multiply(x, scale, step)
                 subtract(theta, step, theta)
+    if not np.isfinite(theta).all():
+        t = first_step + max(steps - 1, 0)
+        raise DivergenceError(f"iterate diverged at step {t}", step=t)
 
 
 # A lockstep index buffer holds at most this many steps per row and this
@@ -215,11 +222,10 @@ def lockstep_steps(
     each row's sum of consecutive-gradient inner products across calls:
     a step adds ``(r * prev_r) * (x . prev_x)`` to ``total``, then keeps its
     own residual and data row; zeros before a row's first draw add an exact 0.
-    ``failed[r]`` is the step of the row's first non-finite residual,
-    ``max(steps - 1, 0)`` if only its final iterate is non-finite, or -1
-    if it stayed finite.  A failed row keeps stepping until every row has
-    failed; its sums, product sum and iterate are meaningless.  From a
-    row's first non-finite residual on, its ``prev_r`` is not finite.
+    ``failed[r]`` is the step at which row r diverged (see the module
+    docstring; ``max(steps - 1, 0)`` for its last step), or -1 if it did not.
+    A failed row keeps stepping until every row has failed; its sums,
+    product sum and iterate are meaningless.
     """
     n_rows, d = thetas.shape
     if d != features.shape[1]:
@@ -237,7 +243,7 @@ def lockstep_steps(
     clip, negative, subtract, divide = np.clip, np.negative, np.subtract, np.divide
     multiply, vecdot, exp = np.multiply, np.vecdot, math.exp
     # Overflow on a blown-up iterate is the divergence signal: it shows up
-    # as a non-finite residual, checked once per block.
+    # as a non-finite residual (checked once per block) or final iterate.
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, steps, chunk):
             k = min(chunk, steps - done)

@@ -118,17 +118,24 @@ def _two_thread_window_means(
     )
 
 
+def _window_coherences(means: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coherences ``(w, R)`` of a :func:`_two_thread_window_means` result,
+    and which rows diverged: a thread failed, or a coherence is not finite.
+    """
+    # Overflowing window means are a divergence signal, not an anomaly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coherences = np.vecdot(means[:, 0], means[:, 1])
+    return coherences, (failed >= 0).any(axis=0) | ~np.isfinite(coherences).all(axis=0)
+
+
 def _coherences(means: np.ndarray, failed: np.ndarray, rows=None) -> np.ndarray:
     """Coherences ``(w, R)`` of a :func:`_two_thread_window_means` result.
 
-    Raises DivergenceError for the first row with a diverged thread (thread
-    1 named first) or, its threads finite, a non-finite coherence; its
-    ``row`` is ``rows[r]``, or None without ``rows``.
+    Raises DivergenceError for the first diverged row (thread 1 named
+    first, then thread 2, then a non-finite coherence); its ``row`` is
+    ``rows[r]``, or None without ``rows``.
     """
-    # Overflowing window means are a divergence signal, raised below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coherences = np.vecdot(means[:, 0], means[:, 1])
-    bad = (failed >= 0).any(axis=0) | ~np.isfinite(coherences).all(axis=0)
+    coherences, bad = _window_coherences(means, failed)
     if bad.any():
         r = int(bad.argmax())
         row = None if rows is None else int(rows[r])

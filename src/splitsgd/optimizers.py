@@ -344,12 +344,12 @@ def run_split_detection(
 
     Until that verdict every run keeps rate ``cfg.eta`` and threads of
     ``cfg.t1`` steps, so the runs are rows of one lockstep loop: a thread
-    is one call over the live rows, a diagnostic one two-thread call, and a
-    fired row steps no further, so each reads as a one-row call.  A
-    divergence raises DivergenceError whose ``row`` names the run; on a
-    main thread its ``step`` counts every draw of that run (an iterate that
-    overflows on a thread's last step fails there), in a diagnostic the
-    draws of thread ``thread``.
+    is one call over the live rows per epoch it spans, a diagnostic one
+    two-thread call, and a fired row steps no further, so each reads as a
+    one-row call.  A divergence raises DivergenceError whose ``row`` names
+    the run; on a main thread its ``step`` counts every draw of that run,
+    in a diagnostic the draws of thread ``thread``.  Calls end where
+    :func:`run_splitsgd`'s do, so the two report the same step.
     """
     if max_epochs < 0:
         raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
@@ -360,15 +360,16 @@ def run_split_detection(
     budget, diag_cost, charged, diags = max_epochs * n, cfg.w * cfg.l, 0, 0
     detected: list[int | None] = [None] * len(gens)
     while charged < budget and gens:
-        remaining = budget - charged
-        steps = remaining if diags >= cfg.B else min(cfg.t1, remaining)
-        _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas,
-                                   cfg.eta, steps, gens)
-        diverged = np.flatnonzero(failed >= 0)
-        if diverged.size:
-            row, step = int(rows[diverged[0]]), charged + diags * diag_cost + int(failed[diverged[0]])
-            raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
-        charged += steps
+        end = budget if diags >= cfg.B else min(charged + cfg.t1, budget)
+        while charged < end:
+            steps = min(end - charged, n - charged % n)
+            _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas,
+                                       cfg.eta, steps, gens)
+            diverged = np.flatnonzero(failed >= 0)
+            if diverged.size:
+                row, step = int(rows[diverged[0]]), charged + diags * diag_cost + int(failed[diverged[0]])
+                raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
+            charged += steps
         remaining = budget - charged
         if remaining <= 0 or diags >= cfg.B or remaining < diag_cost:
             continue
@@ -400,9 +401,10 @@ def run_pflug_detection(
     negative, or None when ``max_epochs`` pass without one.
 
     The runs are rows of one lockstep loop, stepped an epoch per call, and
-    a fired row steps no further, so each reads as a one-row call.  A
-    non-finite residual raises DivergenceError whose ``row`` names the run
-    and whose ``step`` counts every step of that run.
+    a fired row steps no further, so each reads as a one-row call.  A run
+    whose sum is negative at a boundary has fired, even if it diverged in
+    that epoch; any other divergence raises DivergenceError whose ``row``
+    names the run and whose ``step`` counts every step of that run.
     """
     check_step_size(eta)
     if max_epochs < 0:
@@ -415,13 +417,11 @@ def run_pflug_detection(
     for epoch in range(1, max_epochs + 1):
         _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas, eta,
                                    n, gens, products=carry)
-        # A row's residuals stay non-finite from its first non-finite one on;
-        # an iterate that overflowed on the last step alone fails next epoch.
-        diverged = np.flatnonzero(~np.isfinite(carry[1]))
+        fired = carry[0] < 0.0
+        diverged = np.flatnonzero((failed >= 0) & ~fired)
         if diverged.size:
             row, step = int(rows[diverged[0]]), (epoch - 1) * n + int(failed[diverged[0]])
             raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
-        fired = carry[0] < 0.0
         detected[rows[fired]] = epoch
         rows, thetas, carry = rows[~fired], thetas[~fired], tuple(a[~fired] for a in carry)
         gens = [gen for gen, done in zip(gens, fired) if not done]

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from conftest import ACCEPTANCE_LINES
 from splitsgd.cli import cli
-from splitsgd.core import RngStream
+from splitsgd.core import RngStream, sgd_steps
 from splitsgd.diagnostic import decide
 from splitsgd.objectives import (
     full_gradient,
@@ -25,7 +25,6 @@ from splitsgd.objectives import (
 from splitsgd.optimizers import (
     ScheduleState,
     SplitSgdConfig,
-    run_constant_sgd,
     run_splitsgd,
 )
 
@@ -235,13 +234,18 @@ def test_07_schedule_identities(linear_problem):
         identities_ok &= event.state.current_thread_length == state.current_thread_length
 
     # (ii) B = 0 disables diagnostics entirely: bit-identical to constant SGD
-    # on the same stream.
+    # replayed an epoch of sgd_steps at a time on the same stream.
     cfg0 = SplitSgdConfig(eta=1e-3, B=0)
     split = run_splitsgd(linear_problem, cfg0, theta0, RngStream(8), 5)
-    const = run_constant_sgd(linear_problem, 1e-3, theta0.copy(), RngStream(8), 5)
+    data, n = linear_problem.dataset, linear_problem.spec.n
+    theta, gen = theta0.copy(), RngStream(8).generator()
+    losses = [full_loss(data, "linear", theta)]
+    for _ in range(5):
+        sgd_steps(data.features, data.targets, "linear", theta, 1e-3, n, gen)
+        losses.append(full_loss(data, "linear", theta))
     bit_identical = (
-        split.records == const.records
-        and np.array_equal(split.final_theta, const.final_theta)
+        [record.full_loss for record in split.records] == losses
+        and np.array_equal(split.final_theta, theta)
         and split.diagnostics == []
     )
     elapsed = time.monotonic() - t0

@@ -202,18 +202,8 @@ class TestCompare:
     def test_missing_out_is_usage_error(self, runner):
         assert runner.invoke(cli, ["compare"]).exit_code == 2
 
-    def test_threads_env_fallback(self, runner, tmp_path):
-        out = tmp_path / "env.csv"
-        result = runner.invoke(
-            cli,
-            ["compare", "--methods", "const", "--etas", "1e-3", "--epochs", "1",
-             "--seeds", "1", "--out", str(out)],
-            env={"SPLITSGD_THREADS": "3"},
-        )
-        assert result.exit_code == 0
-        assert _meta(out)["threads"] == "3"
-
     def test_config_threads_beat_env(self, runner, tmp_path):
+        # --threads resolves like every option: flag, then config, then 1.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads=2\n")
         out = tmp_path / "cfg.csv"
@@ -221,19 +211,9 @@ class TestCompare:
             cli,
             ["compare", "--config", str(cfg), "--methods", "const", "--etas", "1e-3",
              "--epochs", "1", "--seeds", "1", "--out", str(out)],
-            env={"SPLITSGD_THREADS": "3"},
         )
         assert result.exit_code == 0, result.output
         assert _meta(out)["threads"] == "2"
-
-    def test_bad_threads_env_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(
-            cli,
-            ["compare", "--methods", "const", "--etas", "1e-3",
-             "--out", str(tmp_path / "x.csv")],
-            env={"SPLITSGD_THREADS": "many"},
-        )
-        assert result.exit_code == 2
 
 
 class TestRace:
@@ -465,6 +445,7 @@ class TestInputContract:
         ["compare", "--seeds", "-1"],
         ["race", "--reps", "0"],
         ["race", "--reps", "-1"],
+        ["compare", "--threads", "0"],
         ["sensitivity", "--seeds", "0"],
         ["mc", "--start-noise-sd", "-1"],
         ["mc", "--start-noise-sd", "nan"],

@@ -303,6 +303,34 @@ class TestLockstepWindows:
                 assert np.array_equal(thetas[r], theta)
         assert diverged == (rows if family == "linear" and eta == 1.0 else 0)
 
+    @pytest.mark.parametrize("family, big", [("linear", 1e154), ("logistic", 1e308)],
+                             ids=["linear", "logistic"])
+    def test_rows_equal_sgd_steps_through_divergence(self, family, big):
+        # Drawing the big row overflows the iterate (its residual stays
+        # finite), so rows diverge at the next draw or, a logistic residual
+        # being clipped, only at the last step.  Each row's failed step is
+        # the step at which sgd_steps raises on the same generator, and some
+        # rows overflow on the last step alone: their first steps - 1 steps
+        # stay finite.
+        features, targets = np.array([[1.0], [0.5], [-1.0], [big]]), np.zeros(4)
+        rows, steps = 40, 6
+        thetas = np.ones((rows, 1))
+        _, failed = lockstep_steps(features, targets, family, thetas, 10.0, steps,
+                                   [RngStream(38).fork(r).generator() for r in range(rows)])
+
+        def sgd_failed(r, k):
+            try:
+                sgd_steps(features, targets, family, np.ones(1), 10.0, k,
+                          RngStream(38).fork(r).generator())
+            except DivergenceError as exc:
+                return exc.step
+            return -1
+
+        assert failed.tolist() == [sgd_failed(r, steps) for r in range(rows)]
+        last_only = [r for r in range(rows)
+                     if failed[r] == steps - 1 and sgd_failed(r, steps - 1) == -1]
+        assert last_only and -1 in failed
+
     def test_late_divergence_step_is_exact(self):
         # |1 - eta * x^2| is 1.25 or 3, so the iterate grows geometrically
         # and its residual overflows hundreds of steps in, past the first

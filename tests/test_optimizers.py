@@ -309,9 +309,11 @@ class TestPflug:
         assert len(set(rows)) >= 3
 
     def test_divergence_names_the_row_and_step(self):
-        # Drawing the last data row overflows the iterate.  In epoch 1 row 0
-        # fires and rows 1 and 4 diverge: the first of them in row order is
-        # named, with the step its one-row call reports.
+        # Drawing the last data row overflows the iterate.  In epoch 1 rows
+        # 0-3 fire and rows 4 and 5 diverge: the first of them in row order
+        # is named, with the step its one-row call reports.  Row 1 draws the
+        # big row last, so its last residual is not finite, but its sum is
+        # negative (-inf) at the boundary: a detection.
         spec = ProblemSpec(
             family="linear", n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
             data_seed=RngStream(0),
@@ -319,15 +321,15 @@ class TestPflug:
         features = np.array([[1.0], [0.5], [-1.0], [1e154]])
         problem = Problem(spec=spec, dataset=Dataset(features=features, targets=np.zeros(4)))
         starts, rngs = [np.array([1e154])] * 6, [RngStream(4).fork(r) for r in range(6)]
-        assert run_pflug_detection(problem, 10.0, starts[:1], rngs[:1], 5) == [1]
+        assert run_pflug_detection(problem, 10.0, starts[:4], rngs[:4], 5) == [1] * 4
         with pytest.raises(DivergenceError) as alone:
-            run_pflug_detection(problem, 10.0, starts[1:2], rngs[1:2], 5)
+            run_pflug_detection(problem, 10.0, starts[4:5], rngs[4:5], 5)
         with pytest.raises(DivergenceError) as excinfo:
             run_pflug_detection(problem, 10.0, starts, rngs, 5)
         err = excinfo.value
-        assert (alone.value.row, alone.value.step) == (0, 3)
-        assert (err.row, err.step) == (1, 3)
-        assert str(err) == "iterate diverged at step 3"
+        assert (alone.value.row, alone.value.step) == (0, 1)
+        assert (err.row, err.step) == (4, 1)
+        assert str(err) == "iterate diverged at step 1"
         # Drawn last in epoch 1, the big row leaves a finite residual but
         # overflows the iterate and the sum (to -inf): a detection, not a
         # divergence, as in a per-sample run that checks each residual.
@@ -415,6 +417,32 @@ class TestSplitDetection:
         assert error([2]) == (0, 2, 1, diag)
         assert error([0, 2]) == (1, 2, 1, diag)
         assert error([0, 1, 2]) == (2, 2, 1, diag)
+
+    @pytest.mark.parametrize("family, big, t1, rng", [
+        ("linear", 1e154, 4, RngStream(7, 5)),
+        ("logistic", 1e308, 8, RngStream(1)),
+    ], ids=["linear", "logistic"])
+    def test_single_run_and_rows_name_the_same_divergence(self, family, big, t1, rng):
+        # The fourth draw picks the big row and overflows the iterate on the
+        # first epoch's last step, before any diagnostic starts.  A linear
+        # run blows up on the first thread's last step; a logistic residual
+        # is clipped and stays finite, so that run blows up at the end of the
+        # first epoch's call, which the detector rows cut where the traced
+        # run does.  Both report the same step.
+        spec = ProblemSpec(
+            family=family, n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
+            data_seed=RngStream(0),
+        )
+        features = np.array([[1.0], [0.5], [-1.0], [big]])
+        problem = Problem(spec=spec, dataset=Dataset(features=features, targets=np.zeros(4)))
+        cfg = SplitSgdConfig(eta=10.0, w=2, l=2, q=1.0, t1=t1)
+        assert rng.generator().integers(0, 4, size=4).tolist().index(3) == 3
+        with pytest.raises(DivergenceError) as single:
+            run_splitsgd(problem, cfg, np.ones(1), rng, 5)
+        with pytest.raises(DivergenceError) as rows:
+            run_split_detection(problem, cfg, [np.ones(1)], [rng], 5)
+        for err in (single.value, rows.value):
+            assert (err.step, err.thread, str(err)) == (3, None, "iterate diverged at step 3")
 
     def test_budget_validation(self, small_linear_problem):
         cfg = SplitSgdConfig(eta=1e-3, w=4, l=5, t1=40)
