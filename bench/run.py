@@ -8,14 +8,12 @@ Run from the root of a checkout.  For each tree it records:
   on the default linear problem (d = 20, n = 1000): µs per main-thread
   step (one epoch of ``core.sgd_steps``), µs per pflug row-step (one epoch
   of R = 1 and of R = 100 replications accumulating consecutive-gradient
-  products: rows of ``core.lockstep_steps(products=...)``, or, on a tree
-  whose ``sgd_steps`` still takes ``products``, R single-row calls of it,
-  generator set-up included), ms per replication of split detection at
-  the README ``race`` settings (``eta = 1e-3``, reversed start, default
-  diagnostic and thread length, 1000-epoch cap; R = 1 and R = 100
-  replications in one ``optimizers.run_split_detection`` call, or, on a
-  tree whose call takes one start, R one-row calls, generator set-up
-  included; a fifth of ``--repeats`` timings), µs per diagnostic gradient eval
+  products as rows of ``core.lockstep_steps(products=...)``, generator
+  set-up included), ms per replication of split detection at the README
+  ``race`` settings (``eta = 1e-3``, reversed start, default diagnostic and
+  thread length, 1000-epoch cap; R = 1 and R = 100 replications in one
+  ``optimizers.run_split_detection`` call, generator set-up included; a
+  fifth of ``--repeats`` timings), µs per diagnostic gradient eval
   (one ``run_diagnostic`` at w = 20, l = 50, and the diagnostic threads of
   a 40-replication ``mc`` histogram with no burn-in), ns per burn-in
   replication-step (``core.lockstep_steps`` without windows at R = 250, on
@@ -80,7 +78,7 @@ COMMANDS = {
 }
 
 LAYERS = r"""
-import inspect, json, os, statistics, sys, tempfile, time
+import json, os, statistics, sys, tempfile, time
 import numpy as np
 from splitsgd._csvio import write_csv
 from splitsgd.analysis import CoherenceStudy, coherence_histogram
@@ -108,19 +106,11 @@ n = ds.features.shape[0]
 step = median_time(lambda k: sgd_steps(
     ds.features, ds.targets, "linear", start.copy(), 1e-2, n, RngStream(k).generator()))
 def pflug_rows(rows):
-    if "products" in inspect.signature(lockstep_steps).parameters:
-        def run(k):
-            thetas = np.tile(start, (rows, 1))
-            gens = [RngStream(k).fork(r).generator() for r in range(rows)]
-            carry = (np.zeros(rows), np.zeros(rows), np.zeros_like(thetas))
-            lockstep_steps(ds.features, ds.targets, "linear", thetas, 1e-2, n, gens,
-                           products=carry)
-    else:
-        from splitsgd.core import GradientProducts
-        def run(k):
-            for r in range(rows):
-                sgd_steps(ds.features, ds.targets, "linear", start.copy(), 1e-2, n,
-                          RngStream(k).fork(r).generator(), products=GradientProducts())
+    def run(k):
+        thetas = np.tile(start, (rows, 1))
+        gens = [RngStream(k).fork(r).generator() for r in range(rows)]
+        carry = (np.zeros(rows), np.zeros(rows), np.zeros_like(thetas))
+        lockstep_steps(ds.features, ds.targets, "linear", thetas, 1e-2, n, gens, products=carry)
     return median_time(run) / (rows * n)
 pflug_1, pflug_100 = pflug_rows(1), pflug_rows(100)
 split_cfg = SplitSgdConfig(eta=1e-3)
@@ -128,11 +118,7 @@ def split_rows(rows):
     def run(k):
         starts = [perturbed_start(start, RngStream(k).fork(2 * r)) for r in range(rows)]
         rngs = [RngStream(k).fork(2 * r + 1) for r in range(rows)]
-        if "thetas0" in inspect.signature(run_split_detection).parameters:
-            run_split_detection(problem, split_cfg, starts, rngs, 1000)
-        else:
-            for theta0, rng in zip(starts, rngs):
-                run_split_detection(problem, split_cfg, theta0, rng, 1000)
+        run_split_detection(problem, split_cfg, starts, rngs, 1000)
     return median_time(run, max(1, repeats // 5)) / rows
 split_1, split_100 = split_rows(1), split_rows(100)
 cfg = DiagnosticConfig(eta=1e-2, w=20, l=50)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_step_size, lockstep_steps
-from .diagnostic import DiagnosticConfig, _two_thread_window_means, _window_coherences
+from .core import RngStream, check_step_size, diagnostic_stream, lockstep_steps, replication_streams
+from .diagnostic import DiagnosticConfig, _two_thread_window_means, _window_coherences, decide
 from .objectives import Problem, ProblemSpec, build_problem, perturbed_start, start_point
 
 __all__ = [
@@ -26,12 +26,6 @@ __all__ = [
     "type1_error_probability",
 ]
 
-# Child ids under one replication's stream.
-_CHILD_START = 0
-_CHILD_BURN_IN = 1
-_CHILD_DIAGNOSTIC = 2
-
-
 @dataclass(frozen=True)
 class CoherenceStudy:
     """One histogram scenario: problem, step size, burn-in length (steps),
@@ -39,8 +33,9 @@ class CoherenceStudy:
 
     Each replication starts from the scenario's base point
     (:func:`splitsgd.objectives.start_point`) plus N(0, start_noise_sd^2 I)
-    noise from its own stream, runs ``burn_in_steps`` of constant-rate SGD,
-    then one two-thread split.  Only ``windows`` windows are run (default:
+    noise, runs ``burn_in_steps`` of constant-rate SGD on its main stream,
+    then that stream's first diagnostic: with the thread length as burn-in,
+    SplitSGD's first diagnostic.  Only ``windows`` windows are run (default:
     ``window_index``) — a window's coherence depends only on the draws up
     to that window, so truncating the tail changes nothing.
     """
@@ -72,7 +67,6 @@ class CoherenceStudy:
 
 @dataclass(frozen=True)
 class CoherenceSummary:
-    replications: int
     kept: int
     diverged: int
     mean: float
@@ -83,7 +77,8 @@ class CoherenceSummary:
 def coherence_histogram(
     study: CoherenceStudy, rng: RngStream
 ) -> tuple[list[tuple[int, float]], CoherenceSummary]:
-    """Coherence of window ``window_index`` across replications.
+    """Coherence of window ``window_index`` across replications, replication
+    r on child r of ``rng``, an :func:`splitsgd.core.experiment_stream`.
 
     Returns (replication index, value) pairs for the replications that
     stayed finite, plus a summary.  Values are raw inner products, or
@@ -101,13 +96,8 @@ def coherence_histogram(
     windows = study.windows if study.windows is not None else study.window_index
     diag_cfg = DiagnosticConfig(eta=study.eta, w=windows, l=study.l, q=0.5)
 
-    rep_streams = [rng.fork(r) for r in range(n_rep)]
-    thetas = np.stack(
-        [
-            perturbed_start(base, stream.fork(_CHILD_START), study.start_noise_sd)
-            for stream in rep_streams
-        ]
-    )
+    starts, mains = replication_streams(rng, range(n_rep))
+    thetas = np.stack([perturbed_start(base, start, study.start_noise_sd) for start in starts])
     _, failed = lockstep_steps(
         dataset.features,
         dataset.targets,
@@ -115,7 +105,7 @@ def coherence_histogram(
         thetas,
         study.eta,
         study.burn_in_steps,
-        [stream.fork(_CHILD_BURN_IN).generator() for stream in rep_streams],
+        [main.generator() for main in mains],
     )
 
     kept_reps = np.flatnonzero(failed < 0)
@@ -123,7 +113,7 @@ def coherence_histogram(
         problem,
         thetas[kept_reps],
         diag_cfg,
-        [rep_streams[r].fork(_CHILD_DIAGNOSTIC) for r in kept_reps],
+        [diagnostic_stream(mains[r], 1) for r in kept_reps],
     )
     coherences, bad = _window_coherences(means, failed)
     ok = ~bad
@@ -141,13 +131,10 @@ def coherence_histogram(
     if kept:
         mean = float(values.mean())
         sd = float(values.std(ddof=1)) if kept > 1 else 0.0
-        negative_fraction = float(
-            (np.count_nonzero(values < 0.0) + 0.5 * np.count_nonzero(values == 0.0)) / kept
-        )
+        negative_fraction = decide(values, 0.0)[1] / kept
     else:
         mean = sd = negative_fraction = math.nan
     summary = CoherenceSummary(
-        replications=n_rep,
         kept=kept,
         diverged=diverged,
         mean=mean,

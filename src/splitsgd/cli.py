@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import click
 
@@ -28,12 +28,11 @@ from .analysis import (
     coherence_histogram,
     type1_error_probability,
 )
-from .core import DivergenceError, NumericError, RngStream
+from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream
+from .core import experiment_stream, replication_streams
 from .objectives import (
-    DATA_STREAM_CHILD,
     FAMILIES,
     START_POINTS,
-    START_STREAM_CHILD,
     Problem,
     build_problem,
     make_default_spec,
@@ -56,13 +55,6 @@ SCHEMA_VERSION = 1
 
 METHODS = ("splitsgd", "const", "sqrt", "half")
 ETA_SCALES = {"large": 1e-3, "small": 1e-4}
-
-# Stream layout: one experiment namespace under the master seed, one child
-# per seed/replication, and fixed grandchildren for start noise and draws.
-_EXPERIMENT_CHILD = 0xE0
-_CHILD_DRAWS = 1
-_CHILD_PFLUG = 1
-_CHILD_SPLIT = 2
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, value):
@@ -127,11 +119,10 @@ etas_option = click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,
 epochs_option = click.option("--epochs", type=int, default=100, show_default=True)
 start_option = click.option("--start", type=click.Choice(START_POINTS), default="reversed", show_default=True)
 l_option = click.option("--l", type=int, default=50, show_default=True)
+t1_option = click.option("--t1-epochs", type=int, default=4, show_default=True)
 threads_option = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 schedule_options = _options(
-    start_option,
-    click.option("--t1-epochs", type=int, default=4, show_default=True),
-    click.option("--gamma", type=float, default=0.5, show_default=True),
+    start_option, t1_option, click.option("--gamma", type=float, default=0.5, show_default=True)
 )
 window_options = _options(
     click.option("--w", type=int, default=20, show_default=True),
@@ -154,10 +145,6 @@ def _pool_map(fn, payloads, threads: int):
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, payloads))
-
-
-def _experiment_stream(seed: int) -> RngStream:
-    return RngStream(seed).fork(_EXPERIMENT_CHILD)
 
 
 def _make_problem(family: str, seed: int, noise_sd: float, n: int = 1000, d: int = 20) -> Problem:
@@ -215,9 +202,8 @@ def cli():
 
 def _compare_cell(payload):
     (problem, base, method, eta, seed_idx, master_seed, epochs, t1, split_cfg) = payload
-    stream = _experiment_stream(master_seed).fork(seed_idx)
-    theta0 = perturbed_start(base, stream.fork(START_STREAM_CHILD))
-    rng = stream.fork(_CHILD_DRAWS)
+    (start,), (rng,) = replication_streams(experiment_stream(master_seed), [seed_idx])
+    theta0 = perturbed_start(base, start)
     try:
         if method == "splitsgd":
             trace = run_splitsgd(problem, replace(split_cfg, eta=eta), theta0, rng, epochs)
@@ -268,17 +254,15 @@ def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t
 
 def _race_block(payload):
     """Both detectors for a block of replications, each running all of them
-    as rows of one lockstep run: split detection, then pflug detection.  A
-    divergence names the replication and the detector."""
+    as rows of one lockstep run on their main streams: split detection, then
+    pflug detection.  A divergence names the replication and the detector."""
     (problem, base, reps, master_seed, cfg, max_epochs) = payload
-    streams = [_experiment_stream(master_seed).fork(rep) for rep in reps]
-    starts = [perturbed_start(base, stream.fork(START_STREAM_CHILD)) for stream in streams]
+    start_rngs, rngs = replication_streams(experiment_stream(master_seed), reps)
+    starts = [perturbed_start(base, rng) for rng in start_rngs]
     detector = "split"
     try:
-        rngs = [stream.fork(_CHILD_SPLIT) for stream in streams]
         split = run_split_detection(problem, cfg, starts, rngs, max_epochs)
         detector = "pflug"
-        rngs = [stream.fork(_CHILD_PFLUG) for stream in streams]
         pflug = run_pflug_detection(problem, cfg.eta, starts, rngs, max_epochs)
     except DivergenceError as err:
         message = f"replication {reps[err.row]}, {detector} detector: {err}"
@@ -292,14 +276,15 @@ def _race_block(payload):
 @click.option("--eta", type=float, default=None, help="Explicit step size (overrides --eta-scale).")
 @click.option("--reps", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--max-epochs", type=int, default=1000, show_default=True)
-@schedule_options
+@start_option
+@t1_option
 @window_options
 @threads_option
-def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, t1_epochs, gamma, w, l, q, threads):
+def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, t1_epochs, w, l, q, threads):
     """Detection-epoch race: split diagnostic vs consecutive-gradient sum.
 
-    Both detectors run per replication from the same start; rows record the
-    epoch of first detection, with the budget cap as value when none fires.
+    Both detectors run each replication from one start on one stream; rows
+    record the epoch of first detection, the budget cap when none fires.
     ``--threads`` shards the replications round-robin into one block per
     worker; the bytes do not depend on it.
     """
@@ -307,7 +292,7 @@ def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, 
         eta = ETA_SCALES[eta_scale]
     instance = _make_problem(problem, seed, noise_sd)
     base = start_point(instance.spec, start)
-    cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n, gamma=gamma)
+    cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n)
     blocks = [range(block, reps, threads) for block in range(min(threads, reps))]
     payloads = [(instance, base, block, seed, cfg, max_epochs) for block in blocks]
     results = _pool_map(_race_block, payloads, threads)
@@ -350,13 +335,9 @@ def mc(problem, noise_sd, seed, out, eta, burn_in_epochs, reps, window_index, l,
         start=start,
         start_noise_sd=start_noise_sd,
     )
-    rows, summary = coherence_histogram(study, _experiment_stream(seed))
+    rows, summary = coherence_histogram(study, experiment_stream(seed))
     write_csv(out, ["replication", "q_value", "normalized"], [(r, v, normalized) for r, v in rows])
-    _sidecar(
-        windows=window_index if windows is None else windows, kept=summary.kept,
-        diverged=summary.diverged, mean=summary.mean, sd=summary.sd,
-        negative_fraction=summary.negative_fraction,
-    )
+    _sidecar(windows=window_index if windows is None else windows, **asdict(summary))
     click.echo(
         f"kept={summary.kept} diverged={summary.diverged} "
         f"mean={summary.mean:.6g} sd={summary.sd:.6g} "

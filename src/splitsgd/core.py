@@ -2,8 +2,8 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays, with no alias type;
 this module adds their validation helpers, the seeded/forkable
-random-stream handle, the error types and the two SGD loops, which share
-one residual and one update rounding, ``theta - (eta * r) * x``.
+random-stream handle and its layout, the error types and the two SGD
+loops, which share one residual and one update rounding, ``theta - (eta * r) * x``.
 :func:`sgd_steps` steps one iterate per sample and runs every
 single-iterate schedule: SplitSGD's main thread (constant rate when it
 runs no diagnostics) and the ``1/sqrt(t)`` and halving drivers.  Its step
@@ -35,7 +35,10 @@ __all__ = [
     "RngStream",
     "as_param_vector",
     "check_step_size",
+    "diagnostic_stream",
+    "experiment_stream",
     "lockstep_steps",
+    "replication_streams",
     "sgd_steps",
 ]
 
@@ -116,6 +119,34 @@ class RngStream:
     def fork(self, child_id: int) -> "RngStream":
         """Child stream for ``child_id``; same child id -> same stream."""
         return RngStream(self.seed, _mix64(self.stream_id & _MASK64, child_id & _MASK64))
+
+
+# One stream layout for every command.  Under master seed s the dataset
+# draws from RngStream(s).fork(DATA_STREAM_CHILD) and replication r from
+# RngStream(s).fork(EXPERIMENT_STREAM_CHILD).fork(r), whose child
+# START_STREAM_CHILD draws its start noise and whose child MAIN_STREAM_CHILD,
+# the main stream, every main-thread step.  Diagnostic k of a run draws from
+# the main stream's child k, and thread j of a diagnostic from its child j.
+DATA_STREAM_CHILD = 0xDA7A
+EXPERIMENT_STREAM_CHILD = 0xE0
+START_STREAM_CHILD = 0x57A7
+MAIN_STREAM_CHILD = 1
+
+
+def experiment_stream(seed: int) -> RngStream:
+    """The stream whose child r is replication r under master seed ``seed``."""
+    return RngStream(seed).fork(EXPERIMENT_STREAM_CHILD)
+
+
+def replication_streams(experiment: RngStream, reps) -> tuple[list[RngStream], list[RngStream]]:
+    """Start-noise and main streams of replications ``reps`` of ``experiment``."""
+    streams = [experiment.fork(r) for r in reps]
+    return [s.fork(START_STREAM_CHILD) for s in streams], [s.fork(MAIN_STREAM_CHILD) for s in streams]
+
+
+def diagnostic_stream(main: RngStream, k: int) -> RngStream:
+    """Stream of diagnostic ``k`` (1-based) of the run on ``main``."""
+    return main.fork(k)
 
 
 # Indices are drawn this many at a time; one batched Philox draw yields the

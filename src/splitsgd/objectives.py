@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DATA_STREAM_CHILD, START_STREAM_CHILD  # noqa: F401
 from .core import RngStream, _sigmoid_scalar, as_param_vector
 
 __all__ = [
@@ -42,11 +43,6 @@ START_POINTS = ("reversed", "near-opt")
 DEFAULT_N = 1000
 DEFAULT_D = 20
 DEFAULT_NOISE_SD = 1.0
-
-# Dedicated child ids so data generation never shares a stream with
-# optimizer noise or start-point perturbations derived from the same root.
-DATA_STREAM_CHILD = 0xDA7A
-START_STREAM_CHILD = 0x57A7
 
 
 def default_theta_star(d: int = DEFAULT_D) -> np.ndarray:
@@ -162,14 +158,16 @@ def full_loss(dataset: Dataset, family: str, theta: np.ndarray) -> float:
     """Mean per-datum loss over the whole dataset.
 
     Overflow to +inf is deliberate for near-divergent iterates: comparison
-    grids record such cells as infinite loss instead of aborting.
+    grids record such cells as infinite loss.  A zero logistic target adds
+    no ``y * z`` term, not even where its margin overflows.
     """
     with np.errstate(over="ignore"):
         z = dataset.features @ theta
         if family == "linear":
             r = z - dataset.targets
             return float(0.5 * np.mean(r * r))
-        return float(np.mean(np.logaddexp(0.0, z) - dataset.targets * z))
+        yz = np.multiply(dataset.targets, z, out=np.zeros_like(z), where=dataset.targets != 0.0)
+        return float(np.mean(np.logaddexp(0.0, z) - yz))
 
 
 def full_gradient(dataset: Dataset, family: str, theta: np.ndarray) -> np.ndarray:

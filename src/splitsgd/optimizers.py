@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .core import DivergenceError, RngStream, as_param_vector, check_step_size
-from .core import lockstep_steps, sgd_steps
+from .core import diagnostic_stream, lockstep_steps, sgd_steps
 from .diagnostic import DiagnosticConfig, _coherences, _two_thread_window_means, decide
 from .diagnostic import run_diagnostic
 from .objectives import Problem, full_loss
@@ -302,7 +302,7 @@ def run_splitsgd(
             # either exits or keeps threading to the end of the budget.
             continue
         diag_cfg = DiagnosticConfig(eta=state.current_eta, w=cfg.w, l=cfg.l, q=cfg.q)
-        result = run_diagnostic(problem, theta, diag_cfg, rng.fork(len(events) + 1))
+        result = run_diagnostic(problem, theta, diag_cfg, diagnostic_stream(rng, len(events) + 1))
         theta = result.theta_d.copy()
         if result.stationary:
             state = state.after_detection(cfg.gamma)
@@ -375,7 +375,7 @@ def run_split_detection(
             continue
         diags += 1
         means, ends, failed = _two_thread_window_means(
-            problem, thetas, diag_cfg, [rngs[row].fork(diags) for row in rows]
+            problem, thetas, diag_cfg, [diagnostic_stream(rngs[row], diags) for row in rows]
         )
         coherences = _coherences(means, failed, rows)
         thetas = (ends[0] + ends[1]) / 2.0

@@ -55,35 +55,35 @@ RUNS = {
 EXPECTED = {
     "compare-linear": (
         "d48a144478fdfef2b9c3a188702438a760aa6559d07c16d88bde6a6236b7b82d",
-        "71b36c8bdff39ddbf4ba717a129f82bf471629163657847d075407b884c1cd88",
+        "548d20ae513b4226c50307bdbc3b9d235716dbd235c52974b9c7a289f70ebeec",
     ),
     "compare-logistic": (
         "96627c0e4058284166b2bcd296c9eb6f4e00fafe3cb43d0e09837df37cfb00d7",
-        "d36f59daf181b7faccb29ff0a9ff8d1163f7aef86aa9bdd7cf15149c3f436c0a",
+        "ff9ca6d37f952957f09f07e867be8d0ee0cf322e47e80a75a8e61d2d2e8ad7fc",
     ),
     "race": (
         "592980d66e66b60bd07377261d512d96db14aba620b067e5683f3d42912e407d",
-        "fe39e99054a9b513e4bf244dd70dabd127b97f265b572d09bf096d58a09703ac",
+        "6ff54852125faae95f09e2b9f2ee792b95f39802e619b22bf93b5b8b85da0e34",
     ),
     "mc": (
-        "08b301581d3a2cda7c4343fdff67b081237045c7f4f501889712f688bb327d0b",
-        "79f4fbb6a4f5c49e7ab43f617b097a7b7b232b42937a0671169a570c72c6c0fa",
+        "bbbcf355071f66d350886a4f19fe95f4c325d3910f905df267b70a62150840ed",
+        "85311805519c0e0cd76c5a378bd6093840ca5570b7b13e53de6de88e13106ef2",
     ),
     "mc-logistic": (
-        "7fd8644778aa31f78662d9bc3d50e4ccd6f04c5cd1485ee2413df8c0bf77da11",
-        "73d453432ea07d169a9eb9d3656a0eab35eedfad4c4efd84f951e483062245a7",
+        "bb4c3a3b360507291a1da1af74cf75f74c38b6cfdb892de047bf16a185dd82af",
+        "677f7a970b735addab89a165f45dd805a857dbbc70b101626b46316a18f7e73b",
     ),
     "mc-normalized": (
-        "eef27d572b4907d3427d8a653decd08ec40de7d3cb45125d9b094cfc03aab518",
-        "4e4c88f04fc743d4ffe524887f9bdc99a80aae364a84ee8bd0c2c4c11e70e51d",
+        "6518ff771d2fe4b7d5e7b9227891fd8fd3f8e271b1f4d4d32c55db9502343b00",
+        "e16aeb61ab7fa0b4bb46a06871bb24b3882033d52f0e037772be2bdfa4695ea0",
     ),
     "sensitivity": (
         "7c0eaeacdc91a3c1f4c94f4e695828678e3aec7cb886f400dca4c6488eb7f549",
-        "89b018d2d334541e2bf1cb73733e1ec7945c0b480301e2cd83a3e777bb550d13",
+        "f88a464bb9683d6eb406bbb9d691c349b8322e8cd7e77df2e85f66c9c35b6cbc",
     ),
     "gen-data": (
         "652c080881723819beb76e23d260e47ea0a2d936834889f84268d6912d0a2823",
-        "113f37b5f563eb44e40b01db39e99a0df1776b8789dd9b0d0a9aadf94e5bbac7",
+        "6a0f996a3218d2ca8abeb14467d9c341648433fa086907f467d365935bdee365",
     ),
 }
 

@@ -14,15 +14,18 @@ from click.testing import CliRunner
 
 import splitsgd
 import splitsgd.cli as cli_module
+import splitsgd.optimizers as optimizers_module
 from splitsgd.cli import cli, main
 from splitsgd.core import DivergenceError, RngStream
 from splitsgd.objectives import (
     DATA_STREAM_CHILD,
+    START_STREAM_CHILD,
     build_problem,
     make_default_spec,
+    perturbed_start,
     read_dataset_csv,
 )
-from splitsgd.optimizers import SplitSgdConfig
+from splitsgd.optimizers import EVENT_DIAG_S, SplitSgdConfig, run_splitsgd
 
 
 @pytest.fixture()
@@ -42,6 +45,15 @@ def _meta(path):
         key, _, value = line.partition("=")
         entries[key] = value
     return entries
+
+
+def _layout_streams(seed, rep):
+    """(start, main) streams of replication ``rep`` under master seed
+    ``seed``, spelled out from the stream layout: replication r is
+    RngStream(seed).fork(0xE0).fork(r), its start noise that stream's child
+    START_STREAM_CHILD and its main stream its child 1."""
+    stream = RngStream(seed).fork(0xE0).fork(rep)
+    return stream.fork(START_STREAM_CHILD), stream.fork(1)
 
 
 class TestQrisk:
@@ -275,16 +287,16 @@ class TestRace:
         assert outputs[0] == outputs[1]
 
     def test_divergence_names_the_replication(self, tmp_path, capsys):
-        # At eta = 0.2 replication 0 stays finite, and replication 1's second
-        # split diagnostic ends on finite threads whose window means
-        # overflow: not one of its 20 coherences is finite.
+        # At eta = 0.18 replications 0-3 fire at their first split
+        # diagnostic, and replication 4's second one ends on finite threads
+        # whose window means overflow from window 4 on.
         with pytest.raises(SystemExit) as exc:
             main([
-                "race", "--eta", "0.2", "--reps", "6", "--max-epochs", "6", "--t1-epochs", "1",
+                "race", "--eta", "0.18", "--reps", "6", "--max-epochs", "6", "--t1-epochs", "1",
                 "--out", str(tmp_path / "x.csv"),
             ])
         assert exc.value.code == 3
-        message = "replication 1, split detector: diagnostic coherence 1 of 20 is not finite"
+        message = "replication 4, split detector: diagnostic coherence 4 of 20 is not finite"
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
@@ -301,8 +313,60 @@ class TestRace:
         assert str(excinfo.value) == "replication 3, pflug detector: iterate diverged at step 7"
         assert (excinfo.value.step, excinfo.value.row) == (7, 3)
 
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_split_rows_are_the_first_stationary_epochs_of_splitsgd(self, runner, tmp_path,
+                                                                     family):
+        # Both detectors step on each replication's main stream, from which
+        # a `compare` cell's SplitSGD run draws too, so each split row is the
+        # epoch of that run's first stationary verdict.
+        out = tmp_path / "race.csv"
+        result = runner.invoke(cli, [
+            "race", "--problem", family, "--eta", "1e-2", "--start", "near-opt", "--reps", "6",
+            "--max-epochs", "30", "--t1-epochs", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        problem = build_problem(make_default_spec(family, RngStream(0).fork(DATA_STREAM_CHILD)))
+        cfg = SplitSgdConfig(eta=1e-2, t1=problem.spec.n)
+        expected = []
+        for rep in range(6):
+            start, main_stream = _layout_streams(0, rep)
+            theta0 = perturbed_start(problem.spec.theta_star, start)
+            trace = run_splitsgd(problem, cfg, theta0, main_stream, 30)
+            epoch = next((r.epoch for r in trace.records if r.event == EVENT_DIAG_S), None)
+            expected.append([str(rep), "split", str(epoch or 30), "1" if epoch is None else "0"])
+        assert [row for row in _rows(out)[1] if row[1] == "split"] == expected
+
 
 class TestMc:
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_rows_are_the_first_diagnostics_of_compare_cells(self, runner, tmp_path,
+                                                             monkeypatch, family):
+        # With the thread length as burn-in, replication r's row is the
+        # window-3 coherence of the first diagnostic that `compare`'s
+        # splitsgd cell r runs, bit for bit.
+        out = tmp_path / "mc.csv"
+        result = runner.invoke(cli, [
+            "mc", "--problem", family, "--eta", "1e-3", "--burn-in-epochs", "4", "--window-index", "3",
+            "--raw", "--reps", "5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        diagnostics, run_diagnostic = [], optimizers_module.run_diagnostic
+
+        def record(*args):
+            diagnostics.append(run_diagnostic(*args))
+            return diagnostics[-1]
+
+        monkeypatch.setattr(optimizers_module, "run_diagnostic", record)
+        result = runner.invoke(cli, [
+            "compare", "--problem", family, "--methods", "splitsgd", "--etas", "1e-3", "--seeds", "5",
+            "--epochs", "5", "--t1-epochs", "4", "--threads", "1", "--out", str(tmp_path / "c.csv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(diagnostics) == 5
+        rows = _rows(out)[1]
+        assert [int(row[0]) for row in rows] == list(range(5))
+        assert [float(row[1]) for row in rows] == [d.coherences[2] for d in diagnostics]
+
     def test_artifact_and_summary(self, runner, tmp_path):
         out = tmp_path / "mc.csv"
         result = runner.invoke(cli, [
@@ -445,6 +509,7 @@ class TestInputContract:
         ["compare", "--seeds", "-1"],
         ["race", "--reps", "0"],
         ["race", "--reps", "-1"],
+        ["race", "--gamma", "0.5"],
         ["compare", "--threads", "0"],
         ["sensitivity", "--seeds", "0"],
         ["mc", "--start-noise-sd", "-1"],
@@ -466,6 +531,16 @@ class TestInputContract:
         assert "Traceback" not in result.output
         assert not out.exists()
         assert not (tmp_path / "x.csv.meta").exists()
+
+    def test_race_config_gamma_is_usage_error(self, runner, tmp_path):
+        # Neither race detector decays its rate, so race takes no gamma.
+        cfg = tmp_path / "race.cfg"
+        cfg.write_text("reps=1\nmax-epochs=1\ngamma=0.5\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(cli, ["race", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "gamma" in result.output
+        assert not out.exists()
 
 
 class TestSidecar:
@@ -499,7 +574,7 @@ class TestSidecar:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "risk.txt").read_bytes() == b"0.13158798217773438\n"
         assert (tmp_path / "risk.txt.meta").read_bytes() == (
-            b"artifact=splitsgd\nartifact_version=0.3.0\ncommand=qrisk\nout=risk.txt\n"
+            b"artifact=splitsgd\nartifact_version=0.4.0\ncommand=qrisk\nout=risk.txt\n"
             b"q=0.4\nschema_version=1\nw=20\n"
         )
 

@@ -30,8 +30,8 @@ _COMMON = {
 _SCHEDULE = {
     "--start": (["reversed", "near-opt"], ["far"]),
     "--t1-epochs": (["1", "4"], ["-1", "0"]),
-    "--gamma": (["0.5", "0.9"], ["0", "1", "1.5", *_BAD_FLOATS]),
 }
+_GAMMA = {"--gamma": (["0.5", "0.9"], ["0", "1", "1.5", *_BAD_FLOATS])}
 _WINDOWS = {
     "--w": (["2", "20"], _BAD_INTS),
     "--l": (["5", "50"], _BAD_INTS),
@@ -45,7 +45,7 @@ COMMANDS = {
     "compare": (
         {"--epochs": (["0", "1", "2"], ["-1"]), "--seeds": (["1", "2"], ["0", "-1"]),
          "--etas": _ETAS},
-        {**_COMMON, **_SCHEDULE, **_WINDOWS,
+        {**_COMMON, **_SCHEDULE, **_GAMMA, **_WINDOWS,
          "--methods": (["splitsgd", "const,sqrt", "half,splitsgd"], ["adam", ","])},
     ),
     "race": (
@@ -72,7 +72,7 @@ COMMANDS = {
     "sensitivity": (
         {"--epochs": (["0", "1"], ["-1"]), "--seeds": (["1"], ["0", "-1"]),
          "--etas": _ETAS},
-        {**_COMMON, **_SCHEDULE,
+        {**_COMMON, **_SCHEDULE, **_GAMMA,
          "--w-values": (["10", "10,1000"], ["7", "0", "-1", "2.5", "nan", "inf", ","]),
          "--q-values": (["0.4", "0.35,0.5"], ["1.5", "nan", "-inf", "x"])},
     ),

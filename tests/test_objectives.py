@@ -1,6 +1,7 @@
 """Benchmark problems: data generation, per-datum and full loss/gradient."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,22 @@ class TestFullLossAndGradient:
     def test_overflowing_iterate_reports_infinite_loss(self, linear_problem):
         theta = np.full(20, 1e200)
         assert full_loss(linear_problem.dataset, "linear", theta) == math.inf
+
+    def test_zero_target_with_overflowing_margin_adds_zero(self):
+        # The margin of row 0 is -inf at a finite iterate; its target is 0,
+        # so its loss is exactly 0, and row 1's is -z = 2.5e292.
+        ds = Dataset(features=np.array([[1e308], [1.0]]), targets=np.array([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert full_loss(ds, "logistic", np.array([-2.5e292])) == 1.25e292
+
+    def test_logistic_loss_keeps_its_bits_on_finite_margins(self, logistic_problem):
+        ds = logistic_problem.dataset
+        for theta in (np.zeros(20), np.full(20, -3.0), RngStream(4).generator().standard_normal(20)):
+            z = ds.features @ theta
+            assert full_loss(ds, "logistic", theta) == float(
+                np.mean(np.logaddexp(0.0, z) - ds.targets * z)
+            )
 
     def test_noiseless_oracle_returns_full_gradient(self):
         # A one-row dataset is the noiseless oracle of the diagnostic and
