@@ -71,10 +71,10 @@ COMMANDS = {
         "mc", "--problem", "linear", "--eta", "1e-2", "--burn-in-epochs", "60",
         "--reps", "250", "--window-index", "2", "--raw",
     ],
-    # Not benchmark workloads: both detectors, each running one block of 4
-    # and of 100 replications as lockstep rows.
-    "race": ["race", "--reps", "4", "--max-epochs", "40", "--threads", "1"],
-    "race-100": ["race", "--reps", "100", "--max-epochs", "20", "--threads", "1"],
+    # Not benchmark workloads: both detectors, each running 4 and 100
+    # replications as rows of one lockstep run.
+    "race": ["race", "--reps", "4", "--max-epochs", "40"],
+    "race-100": ["race", "--reps", "100", "--max-epochs", "20"],
 }
 
 LAYERS = r"""

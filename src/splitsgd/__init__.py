@@ -42,7 +42,7 @@ from .optimizers import (
     run_sqrt_decay_sgd,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "DimensionError",

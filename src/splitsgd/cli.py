@@ -252,24 +252,6 @@ def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t
 # -------------------------------------------------------------------- race
 
 
-def _race_block(payload):
-    """Both detectors for a block of replications, each running all of them
-    as rows of one lockstep run on their main streams: split detection, then
-    pflug detection.  A divergence names the replication and the detector."""
-    (problem, base, reps, master_seed, cfg, max_epochs) = payload
-    start_rngs, rngs = replication_streams(experiment_stream(master_seed), reps)
-    starts = [perturbed_start(base, rng) for rng in start_rngs]
-    detector = "split"
-    try:
-        split = run_split_detection(problem, cfg, starts, rngs, max_epochs)
-        detector = "pflug"
-        pflug = run_pflug_detection(problem, cfg.eta, starts, rngs, max_epochs)
-    except DivergenceError as err:
-        message = f"replication {reps[err.row]}, {detector} detector: {err}"
-        raise DivergenceError(message, err.step, err.thread, reps[err.row])
-    return list(zip(reps, split, pflug))
-
-
 @cli.command()
 @run_options
 @click.option("--eta-scale", type=click.Choice(sorted(ETA_SCALES)), default="large", show_default=True)
@@ -279,26 +261,32 @@ def _race_block(payload):
 @start_option
 @t1_option
 @window_options
-@threads_option
-def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, t1_epochs, w, l, q, threads):
+def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, t1_epochs, w, l, q):
     """Detection-epoch race: split diagnostic vs consecutive-gradient sum.
 
-    Both detectors run each replication from one start on one stream; rows
-    record the epoch of first detection, the budget cap when none fires.
-    ``--threads`` shards the replications round-robin into one block per
-    worker; the bytes do not depend on it.
+    Both detectors run every replication from one start on one stream, as
+    rows of one lockstep run each: split detection, then pflug detection.
+    Rows record the epoch of first detection, the budget cap when none
+    fires; a divergence names the replication and the detector.
     """
     if eta is None:
         eta = ETA_SCALES[eta_scale]
     instance = _make_problem(problem, seed, noise_sd)
     base = start_point(instance.spec, start)
     cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n)
-    blocks = [range(block, reps, threads) for block in range(min(threads, reps))]
-    payloads = [(instance, base, block, seed, cfg, max_epochs) for block in blocks]
-    results = _pool_map(_race_block, payloads, threads)
+    start_rngs, rngs = replication_streams(experiment_stream(seed), range(reps))
+    starts = [perturbed_start(base, rng) for rng in start_rngs]
+    detector = "split"
+    try:
+        split = run_split_detection(instance, cfg, starts, rngs, max_epochs)
+        detector = "pflug"
+        pflug = run_pflug_detection(instance, cfg.eta, starts, rngs, max_epochs)
+    except DivergenceError as err:
+        message = f"replication {err.row}, {detector} detector: {err}"
+        raise DivergenceError(message, err.step, err.thread, err.row)
     rows = []
-    for rep, split, pflug in sorted(r for block in results for r in block):
-        for method, epoch in (("pflug", pflug), ("split", split)):
+    for rep, (split_epoch, pflug_epoch) in enumerate(zip(split, pflug)):
+        for method, epoch in (("pflug", pflug_epoch), ("split", split_epoch)):
             capped = epoch is None
             rows.append((rep, method, max_epochs if capped else epoch, capped))
     write_csv(out, ["rep", "method", "detection_epoch", "capped"], rows)

@@ -15,9 +15,12 @@ of its rows equals :func:`sgd_steps` on the same generator bit for bit,
 divergence step included, and :func:`sgd_steps` stays the faster at R = 1.
 
 Both loops follow one divergence rule: a run diverges at its first draw
-whose residual is not finite, or, when every residual stayed finite but the
-iterate the last step leaves is not, at that last step.  The schedules,
-the detectors, the diagnostic and the Monte-Carlo study all follow it.
+whose margin ``x.theta`` is not finite, or, when every margin stayed finite
+but the iterate the last step leaves is not, at that last step.  A linear
+residual is finite exactly when its margin is; a logistic one is clipped
+and stays finite, so the margin names its step wherever a call ends.  The
+schedules, the detectors, the diagnostic and the Monte-Carlo study all
+follow it.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ def sgd_steps(
     scale, step = np.empty(()), np.empty(d)
     multiply, subtract, isfinite = np.multiply, np.subtract, math.isfinite
     # Overflow on a blown-up iterate is the divergence signal, not an
-    # anomaly: a later residual or the final iterate goes non-finite.
+    # anomaly: a later margin or the final iterate goes non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, steps, _CHUNK):
             # The index list runs out first, so zip draws no step number or
@@ -208,9 +211,9 @@ def sgd_steps(
             for i, t, e in zip(drawn, numbers, etas):
                 x = features[i]
                 z = float(x.dot(theta))
-                r = z - ys[i] if linear else _sigmoid_scalar(z) - ys[i]
-                if not isfinite(r):
+                if not isfinite(z):
                     raise DivergenceError(f"iterate diverged at step {t}", step=t)
+                r = z - ys[i] if linear else _sigmoid_scalar(z) - ys[i]
                 scale[()] = e * r
                 multiply(x, scale, step)
                 subtract(theta, step, theta)
@@ -221,7 +224,7 @@ def sgd_steps(
 
 # A lockstep index buffer holds at most this many steps per row and this
 # many indices in all, so its memory stays small at any row count; the
-# residuals are held, and checked for finiteness, a block of steps at a time.
+# margins (checked for finiteness) and residuals are held a block at a time.
 # Indices are int32: a bounded draw gives the same stream at either integer
 # width, and a dataset of 2**31 rows or more cannot fit in memory anyway.
 _LOCKSTEP_STEPS = 1024
@@ -266,6 +269,7 @@ def lockstep_steps(
     chunk = min(_LOCKSTEP_STEPS, max(steps, 1), max(1, _LOCKSTEP_INDICES // max(n_rows, 1)))
     idx = np.empty((chunk, n_rows), dtype=np.int32)
     resid = np.empty((min(_LOCKSTEP_BLOCK, chunk), n_rows))
+    margins = np.empty_like(resid)
     sums = None if l is None else np.zeros((steps // l, n_rows, d))
     grad, scale = np.empty((n_rows, d)), np.empty((n_rows, 1))
     if products is not None:
@@ -274,7 +278,7 @@ def lockstep_steps(
     clip, negative, subtract, divide = np.clip, np.negative, np.subtract, np.divide
     multiply, vecdot, exp = np.multiply, np.vecdot, math.exp
     # Overflow on a blown-up iterate is the divergence signal: it shows up
-    # as a non-finite residual (checked once per block) or final iterate.
+    # as a non-finite margin (checked once per block) or final iterate.
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, steps, chunk):
             k = min(chunk, steps - done)
@@ -284,17 +288,18 @@ def lockstep_steps(
                 # Each block row holds its targets until the residual
                 # overwrites them.
                 block = resid[: min(resid.shape[0], k - first)]
+                zs = margins[: block.shape[0]]
                 targets.take(idx[first : first + block.shape[0]], out=block)
                 for j, r in enumerate(block):
                     t = done + first + j
                     if sums is not None and t % l == 0:
                         window = sums[t // l]
                     x = features.take(idx[first + j], axis=0)
-                    z = vecdot(x, thetas)
+                    z = vecdot(x, thetas, out=zs[j])
                     if not linear:
-                        # _sigmoid_scalar's operations, elementwise; math.exp,
-                        # not np.exp: the two differ in the last bit.
-                        clip(z, -40.0, 40.0, out=z)
+                        # _sigmoid_scalar's operations on a copy of the margins;
+                        # math.exp, not np.exp: the two differ in the last bit.
+                        z = clip(z, -40.0, 40.0)
                         negative(z, out=z)
                         z = np.fromiter(map(exp, z.tolist()), np.float64, n_rows)
                         z += 1.0
@@ -310,7 +315,7 @@ def lockstep_steps(
                     multiply(eta, r, scale)
                     x *= scale
                     thetas -= x
-                bad = ~np.isfinite(block)
+                bad = ~np.isfinite(zs)
                 if bad.any():
                     new = bad.any(axis=0) & (failed < 0)
                     failed[new] = done + first + bad[:, new].argmax(axis=0)

@@ -159,15 +159,18 @@ def full_loss(dataset: Dataset, family: str, theta: np.ndarray) -> float:
 
     Overflow to +inf is deliberate for near-divergent iterates: comparison
     grids record such cells as infinite loss.  A zero logistic target adds
-    no ``y * z`` term, not even where its margin overflows.
+    no ``y * z`` term, not even where its margin overflows; a target-1 row
+    whose usual form is not finite (``inf - inf``) costs ``log(1 + e**-z)``.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         z = dataset.features @ theta
         if family == "linear":
             r = z - dataset.targets
             return float(0.5 * np.mean(r * r))
         yz = np.multiply(dataset.targets, z, out=np.zeros_like(z), where=dataset.targets != 0.0)
-        return float(np.mean(np.logaddexp(0.0, z) - yz))
+        losses = np.logaddexp(0.0, z) - yz
+        np.logaddexp(0.0, -z, out=losses, where=~np.isfinite(losses) & (dataset.targets == 1.0))
+        return float(np.mean(losses))
 
 
 def full_gradient(dataset: Dataset, family: str, theta: np.ndarray) -> np.ndarray:

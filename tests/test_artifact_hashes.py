@@ -30,7 +30,7 @@ RUNS = {
     ],
     "race": [
         "race", "--eta", "1e-2", "--start", "near-opt", "--reps", "4",
-        "--max-epochs", "10", "--t1-epochs", "1", "--threads", "1",
+        "--max-epochs", "10", "--t1-epochs", "1",
     ],
     "mc": [
         "mc", "--eta", "1e-2", "--reps", "30", "--l", "10", "--burn-in-epochs", "2",
@@ -55,35 +55,35 @@ RUNS = {
 EXPECTED = {
     "compare-linear": (
         "d48a144478fdfef2b9c3a188702438a760aa6559d07c16d88bde6a6236b7b82d",
-        "548d20ae513b4226c50307bdbc3b9d235716dbd235c52974b9c7a289f70ebeec",
+        "3da74db78427dc827a121dc948c1701c4368dc443c4c00b567c042867a5d5b2c",
     ),
     "compare-logistic": (
         "96627c0e4058284166b2bcd296c9eb6f4e00fafe3cb43d0e09837df37cfb00d7",
-        "ff9ca6d37f952957f09f07e867be8d0ee0cf322e47e80a75a8e61d2d2e8ad7fc",
+        "a3b2494edf6c5c645d34f23355b1f1f75438801beeceaefec8a66fb1a44a92c8",
     ),
     "race": (
         "592980d66e66b60bd07377261d512d96db14aba620b067e5683f3d42912e407d",
-        "6ff54852125faae95f09e2b9f2ee792b95f39802e619b22bf93b5b8b85da0e34",
+        "86a57b5ba20c0346bad2aa3d1717674d222051b921840ab17801374a744fd594",
     ),
     "mc": (
         "bbbcf355071f66d350886a4f19fe95f4c325d3910f905df267b70a62150840ed",
-        "85311805519c0e0cd76c5a378bd6093840ca5570b7b13e53de6de88e13106ef2",
+        "d7936026d487407ed473e86a696a225747cae5e26075aeaea2e9e75e81330ac6",
     ),
     "mc-logistic": (
         "bb4c3a3b360507291a1da1af74cf75f74c38b6cfdb892de047bf16a185dd82af",
-        "677f7a970b735addab89a165f45dd805a857dbbc70b101626b46316a18f7e73b",
+        "e350f5c7a1ec5823afb1cf58869c26d14f770fc1a50e81cdfc411d9ad0d910a0",
     ),
     "mc-normalized": (
         "6518ff771d2fe4b7d5e7b9227891fd8fd3f8e271b1f4d4d32c55db9502343b00",
-        "e16aeb61ab7fa0b4bb46a06871bb24b3882033d52f0e037772be2bdfa4695ea0",
+        "0988a932a05bf499a45cb4148fadd6cdcd5620845a59f8984f9d8ddec828aa9d",
     ),
     "sensitivity": (
         "7c0eaeacdc91a3c1f4c94f4e695828678e3aec7cb886f400dca4c6488eb7f549",
-        "f88a464bb9683d6eb406bbb9d691c349b8322e8cd7e77df2e85f66c9c35b6cbc",
+        "b0f7ea92c81cec254ee45e53952fd9cb68c0d1445bbb6d6456c9aa94e03f131c",
     ),
     "gen-data": (
         "652c080881723819beb76e23d260e47ea0a2d936834889f84268d6912d0a2823",
-        "6a0f996a3218d2ca8abeb14467d9c341648433fa086907f467d365935bdee365",
+        "c0e1646a6d24c754c3aee72e77f6f2f4065b8940a4d997c4b6543928e48991c4",
     ),
 }
 

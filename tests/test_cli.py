@@ -273,19 +273,6 @@ class TestRace:
         assert exc.value.code == 3
         assert not (tmp_path / "x.csv").exists()
 
-    def test_worker_pool_matches_sequential(self, runner, tmp_path):
-        # Near the optimum the pflug rows fire at different epochs, so the
-        # two round-robin blocks drop rows at different times.
-        base = ["race", "--eta", "1e-2", "--start", "near-opt", "--reps", "5",
-                "--max-epochs", "6", "--t1-epochs", "1"]
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"race{threads}.csv"
-            result = runner.invoke(cli, base + ["--threads", threads, "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_divergence_names_the_replication(self, tmp_path, capsys):
         # At eta = 0.18 replications 0-3 fire at their first split
         # diagnostic, and replication 4's second one ends on finite threads
@@ -300,18 +287,20 @@ class TestRace:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_pflug_divergence_names_the_replication_of_its_row(self, monkeypatch):
-        # Row 1 of the block holding replications 1, 3 and 5 is replication 3.
+    def test_pflug_divergence_names_the_replication_of_its_row(self, runner, tmp_path,
+                                                                monkeypatch):
+        # Row r of each detector's lockstep run is replication r.
         def diverge(problem, eta, thetas0, rngs, max_epochs):
-            raise DivergenceError("iterate diverged at step 7", step=7, row=1)
+            raise DivergenceError("iterate diverged at step 7", step=7, row=2)
 
         monkeypatch.setattr(cli_module, "run_pflug_detection", diverge)
-        problem = build_problem(make_default_spec("linear", RngStream(0), n=20, d=2))
-        cfg = SplitSgdConfig(eta=1e-2, w=2, l=5, t1=20)
-        with pytest.raises(DivergenceError) as excinfo:
-            cli_module._race_block((problem, np.zeros(2), range(1, 6, 2), 0, cfg, 0))
-        assert str(excinfo.value) == "replication 3, pflug detector: iterate diverged at step 7"
-        assert (excinfo.value.step, excinfo.value.row) == (7, 3)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(cli, ["race", "--reps", "3", "--max-epochs", "1", "--out", str(out)])
+        err = result.exception
+        assert isinstance(err, DivergenceError)
+        assert str(err) == "replication 2, pflug detector: iterate diverged at step 7"
+        assert (err.step, err.row) == (7, 2)
+        assert not out.exists()
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_split_rows_are_the_first_stationary_epochs_of_splitsgd(self, runner, tmp_path,
@@ -510,6 +499,7 @@ class TestInputContract:
         ["race", "--reps", "0"],
         ["race", "--reps", "-1"],
         ["race", "--gamma", "0.5"],
+        ["race", "--threads", "2"],
         ["compare", "--threads", "0"],
         ["sensitivity", "--seeds", "0"],
         ["mc", "--start-noise-sd", "-1"],
@@ -574,7 +564,7 @@ class TestSidecar:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "risk.txt").read_bytes() == b"0.13158798217773438\n"
         assert (tmp_path / "risk.txt.meta").read_bytes() == (
-            b"artifact=splitsgd\nartifact_version=0.4.0\ncommand=qrisk\nout=risk.txt\n"
+            b"artifact=splitsgd\nartifact_version=0.5.0\ncommand=qrisk\nout=risk.txt\n"
             b"q=0.4\nschema_version=1\nw=20\n"
         )
 

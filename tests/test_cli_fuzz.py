@@ -82,7 +82,7 @@ COMMANDS = {
     ),
 }
 # Commands with a worker pool always run in one process here.
-THREADED = {"compare", "race", "sensitivity"}
+THREADED = {"compare", "sensitivity"}
 
 
 def _subset(items, max_size=None):

@@ -169,8 +169,8 @@ class TestSgdStep:
         assert excinfo.value.step == 17
 
     def test_overflow_to_non_finite_iterate_raises_divergence(self):
-        # The first residual (1e308) is finite, but the update overflows the
-        # iterate, so the second draw's residual is not: step 1 raises.
+        # The first margin (1e308) is finite, but the update overflows the
+        # iterate, so the second draw's margin is not: step 1 raises.
         with pytest.raises(DivergenceError) as excinfo:
             sgd_steps(np.array([[1e154]]), _vec(0.0), "linear", _vec(1e154), 10.0, 3,
                       RngStream(0).generator())
@@ -306,12 +306,12 @@ class TestLockstepWindows:
     @pytest.mark.parametrize("family, big", [("linear", 1e154), ("logistic", 1e308)],
                              ids=["linear", "logistic"])
     def test_rows_equal_sgd_steps_through_divergence(self, family, big):
-        # Drawing the big row overflows the iterate (its residual stays
-        # finite), so rows diverge at the next draw or, a logistic residual
-        # being clipped, only at the last step.  Each row's failed step is
-        # the step at which sgd_steps raises on the same generator, and some
-        # rows overflow on the last step alone: their first steps - 1 steps
-        # stay finite.
+        # Drawing the big row overflows the iterate (its margin stays
+        # finite), so rows diverge at the next draw's margin or, drawing it
+        # last, at the last step.  Each row's failed step is the step at
+        # which sgd_steps raises on the same generator, and some rows
+        # overflow on the last step alone: their first steps - 1 steps stay
+        # finite.
         features, targets = np.array([[1.0], [0.5], [-1.0], [big]]), np.zeros(4)
         rows, steps = 40, 6
         thetas = np.ones((rows, 1))
@@ -331,9 +331,34 @@ class TestLockstepWindows:
                      if failed[r] == steps - 1 and sgd_failed(r, steps - 1) == -1]
         assert last_only and -1 in failed
 
+    def test_logistic_divergence_step_does_not_depend_on_call_length(self):
+        # Drawing the big row overflows the iterate while the clipped
+        # residual stays finite; the next draw's margin is not, so a call
+        # that reaches that draw names it, however many steps it runs, in
+        # both loops.
+        features, targets = np.array([[1.0], [0.5], [-1.0], [1e308]]), np.zeros(4)
+        rows, named = 40, {}
+        for steps in (5, 6, 9, 20):
+            thetas = np.ones((rows, 1))
+            _, failed = lockstep_steps(features, targets, "logistic", thetas, 10.0, steps,
+                                       [RngStream(38).fork(r).generator() for r in range(rows)])
+            named[steps] = failed.tolist()
+            for r in range(rows):
+                try:
+                    sgd_steps(features, targets, "logistic", np.ones(1), 10.0, steps,
+                              RngStream(38).fork(r).generator())
+                except DivergenceError as exc:
+                    assert exc.step == failed[r]
+                else:
+                    assert failed[r] == -1
+        early = [r for r in range(rows) if 0 <= named[20][r] < 4]
+        assert early
+        for steps in (5, 6, 9):
+            assert [named[steps][r] for r in early] == [named[20][r] for r in early]
+
     def test_late_divergence_step_is_exact(self):
         # |1 - eta * x^2| is 1.25 or 3, so the iterate grows geometrically
-        # and its residual overflows hundreds of steps in, past the first
+        # and its margin overflows hundreds of steps in, past the first
         # residual block and, for some rows, past the first index chunk.
         features, targets = np.array([[1.5], [2.0]]), np.zeros(2)
         starts = np.array([[10.0 ** (50 * k)] for k in range(5)] + [[1e-300]])

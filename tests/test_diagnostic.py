@@ -214,7 +214,7 @@ class TestRunDiagnostic:
         assert 0 <= excinfo.value.step < cfg.w * cfg.l
 
     def test_overflow_on_last_step_is_divergence(self):
-        # The only step's residual (1e308) is finite but overflows the
+        # The only step's margin (1e308) is finite but overflows the
         # iterate; the thread-end check still reports it.
         problem = _one_row_problem([1e154], 0.0)
         cfg = DiagnosticConfig(eta=10.0, w=1, l=1, q=0.4)

@@ -159,6 +159,17 @@ class TestFullLossAndGradient:
             warnings.simplefilter("error")
             assert full_loss(ds, "logistic", np.array([-2.5e292])) == 1.25e292
 
+    def test_unit_target_with_overflowing_margin_adds_zero(self):
+        # The margin of row 0 is +inf at a finite iterate; its target is 1,
+        # so its loss log(1 + e**-z) is exactly 0, and row 1's is z = 2.5e292.
+        # With the targets swapped, row 0 costs +inf.
+        ds = Dataset(features=np.array([[1e308], [1.0]]), targets=np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert full_loss(ds, "logistic", np.array([2.5e292])) == 1.25e292
+            swapped = Dataset(features=ds.features, targets=ds.targets[::-1].copy())
+            assert full_loss(swapped, "logistic", np.array([2.5e292])) == math.inf
+
     def test_logistic_loss_keeps_its_bits_on_finite_margins(self, logistic_problem):
         ds = logistic_problem.dataset
         for theta in (np.zeros(20), np.full(20, -3.0), RngStream(4).generator().standard_normal(20)):

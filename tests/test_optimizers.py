@@ -424,11 +424,10 @@ class TestSplitDetection:
     ], ids=["linear", "logistic"])
     def test_single_run_and_rows_name_the_same_divergence(self, family, big, t1, rng):
         # The fourth draw picks the big row and overflows the iterate on the
-        # first epoch's last step, before any diagnostic starts.  A linear
-        # run blows up on the first thread's last step; a logistic residual
-        # is clipped and stays finite, so that run blows up at the end of the
-        # first epoch's call, which the detector rows cut where the traced
-        # run does.  Both report the same step.
+        # first epoch's last step, before any diagnostic starts.  No margin
+        # of that epoch's call is non-finite, so on both families the run
+        # blows up at the end of that call, which the detector rows cut
+        # where the traced run does.  Both report the same step.
         spec = ProblemSpec(
             family=family, n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
             data_seed=RngStream(0),
