@@ -22,9 +22,11 @@ Run from the root of a checkout.  For each tree it records:
   (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each interpreter
   giving the median of ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
-  ``compare`` and ``mc-stationary`` benchmark commands and of two ``race``
-  runs (4 replications over 40 epochs, and 100 over 20), measured by
-  ``perfbench/child.py`` exactly as the benchmark measures them;
+  ``compare`` and ``mc-stationary`` benchmark commands, of two ``race``
+  runs (4 replications over 40 epochs, and 100 over 20) and of a small
+  ``sensitivity`` grid (2 window counts x 2 step sizes x 2 seeds, 10
+  epochs), measured by ``perfbench/child.py`` exactly as the benchmark
+  measures them;
 * ``src_lines``: the lines of the ``*.py`` files under the tree's
   ``splitsgd`` package;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0), the
@@ -72,9 +74,13 @@ COMMANDS = {
         "--reps", "250", "--window-index", "2", "--raw",
     ],
     # Not benchmark workloads: both detectors, each running 4 and 100
-    # replications as rows of one lockstep run.
+    # replications as rows of one lockstep run, and the SplitSGD grid.
     "race": ["race", "--reps", "4", "--max-epochs", "40"],
     "race-100": ["race", "--reps", "100", "--max-epochs", "20"],
+    "sensitivity": [
+        "sensitivity", "--w-values", "10,20", "--q-values", "0.4", "--etas", "1e-3,1e-2",
+        "--seeds", "2", "--epochs", "10", "--threads", "1",
+    ],
 }
 
 LAYERS = r"""

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_step_size, diagnostic_stream, lockstep_steps, replication_streams
+from .core import RngStream, check_step_size, diagnostic_stream, lockstep_steps
 from .diagnostic import DiagnosticConfig, _two_thread_window_means, _window_coherences, decide
-from .objectives import Problem, ProblemSpec, build_problem, perturbed_start, start_point
+from .objectives import Problem, ProblemSpec, build_problem, replication_starts
 
 __all__ = [
     "CoherenceStudy",
@@ -91,13 +91,11 @@ def coherence_histogram(
     problem = build_problem(study.problem)
     dataset = problem.dataset
     spec = problem.spec
-    base = start_point(spec, study.start)
     n_rep = study.replications
     windows = study.windows if study.windows is not None else study.window_index
     diag_cfg = DiagnosticConfig(eta=study.eta, w=windows, l=study.l, q=0.5)
 
-    starts, mains = replication_streams(rng, range(n_rep))
-    thetas = np.stack([perturbed_start(base, start, study.start_noise_sd) for start in starts])
+    thetas, mains = replication_starts(spec, study.start, rng, range(n_rep), study.start_noise_sd)
     _, failed = lockstep_steps(
         dataset.features,
         dataset.targets,

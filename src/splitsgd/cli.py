@@ -28,16 +28,14 @@ from .analysis import (
     coherence_histogram,
     type1_error_probability,
 )
-from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream
-from .core import experiment_stream, replication_streams
+from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream, experiment_stream
 from .objectives import (
     FAMILIES,
     START_POINTS,
     Problem,
     build_problem,
     make_default_spec,
-    perturbed_start,
-    start_point,
+    replication_starts,
     write_dataset_csv,
 )
 from .optimizers import (
@@ -137,16 +135,6 @@ run_options = _options(
 )
 
 
-def _pool_map(fn, payloads, threads: int):
-    if threads <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    # Imported here so a single-process run never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, payloads))
-
-
 def _make_problem(family: str, seed: int, noise_sd: float, n: int = 1000, d: int = 20) -> Problem:
     data_seed = RngStream(seed).fork(DATA_STREAM_CHILD)
     return build_problem(make_default_spec(family, data_seed, n=n, d=d, noise_sd=noise_sd))
@@ -200,10 +188,9 @@ def cli():
 # ----------------------------------------------------------------- compare
 
 
-def _compare_cell(payload):
-    (problem, base, method, eta, seed_idx, master_seed, epochs, t1, split_cfg) = payload
-    (start,), (rng,) = replication_streams(experiment_stream(master_seed), [seed_idx])
-    theta0 = perturbed_start(base, start)
+def _cell(problem, epochs, t1, method, eta, split_cfg, theta0, rng) -> float:
+    """Final log loss of one run of ``method``, inf if it diverged.  The
+    drivers are read as module globals at call time, so wrappers set on them apply."""
     try:
         if method == "splitsgd":
             trace = run_splitsgd(problem, replace(split_cfg, eta=eta), theta0, rng, epochs)
@@ -213,10 +200,27 @@ def _compare_cell(payload):
             trace = run_sqrt_decay_sgd(problem, eta, theta0, rng, epochs)
         else:
             trace = run_sgd_half(problem, eta, t1, theta0, rng, epochs)
-        value = final_log_loss(trace)
     except DivergenceError:
-        value = math.inf
-    return method, eta, seed_idx, value
+        return math.inf
+    return final_log_loss(trace)
+
+
+def _grid(problem, seed, start, seeds, epochs, t1, cells, threads):
+    """Sorted ``(*key, s, final log loss)`` rows of each cell ``(key, method,
+    eta, split_cfg)`` run from replication s < seeds, whose start and main
+    stream are built once; ``threads`` above 1 runs them on a worker pool."""
+    thetas, mains = replication_starts(problem.spec, start, experiment_stream(seed), range(seeds))
+    runs = [(cell, s) for cell in cells for s in range(seeds)]
+    jobs = [(problem, epochs, t1, *cell[1:], thetas[s], mains[s]) for cell, s in runs]
+    if threads > 1 and len(jobs) > 1:
+        # Imported here so a single-process run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            values = list(pool.map(_cell, *zip(*jobs)))
+    else:
+        values = [_cell(*job) for job in jobs]
+    return sorted((*cell[0], s, value) for (cell, s), value in zip(runs, values))
 
 
 @cli.command()
@@ -231,19 +235,12 @@ def _compare_cell(payload):
 def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t1_epochs, gamma, w, l, q, threads):
     """Final log loss per (method, step size, seed) after a fixed budget."""
     instance = _make_problem(problem, seed, noise_sd)
-    base = start_point(instance.spec, start)
     t1 = t1_epochs * instance.spec.n
     split_cfg = None
     if "splitsgd" in methods:
         split_cfg = SplitSgdConfig(eta=etas[0], w=w, l=l, q=q, t1=t1, gamma=gamma)
-    payloads = [
-        (instance, base, method, eta, s, seed, epochs, t1, split_cfg)
-        for method in methods
-        for eta in etas
-        for s in range(seeds)
-    ]
-    results = _pool_map(_compare_cell, payloads, threads)
-    rows = sorted((m, e, s, v) for m, e, s, v in results)
+    cells = [((method, eta), method, eta, split_cfg) for method in methods for eta in etas]
+    rows = _grid(instance, seed, start, seeds, epochs, t1, cells, threads)
     write_csv(out, ["method", "eta", "seed", "final_log_loss"], rows)
     _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")
@@ -272,10 +269,8 @@ def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, 
     if eta is None:
         eta = ETA_SCALES[eta_scale]
     instance = _make_problem(problem, seed, noise_sd)
-    base = start_point(instance.spec, start)
     cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n)
-    start_rngs, rngs = replication_streams(experiment_stream(seed), range(reps))
-    starts = [perturbed_start(base, rng) for rng in start_rngs]
+    starts, rngs = replication_starts(instance.spec, start, experiment_stream(seed), range(reps))
     detector = "split"
     try:
         split = run_split_detection(instance, cfg, starts, rngs, max_epochs)
@@ -310,11 +305,11 @@ def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, 
 @click.option("--start-noise-sd", type=float, default=0.1, show_default=True)
 def mc(problem, noise_sd, seed, out, eta, burn_in_epochs, reps, window_index, l, windows, normalized, start, start_noise_sd):
     """Monte-Carlo histogram of one window's gradient coherence."""
-    spec = make_default_spec(problem, RngStream(seed).fork(DATA_STREAM_CHILD), noise_sd=noise_sd)
+    instance = _make_problem(problem, seed, noise_sd)
     study = CoherenceStudy(
-        problem=spec,
+        problem=instance,
         eta=eta,
-        burn_in_steps=burn_in_epochs * spec.n,
+        burn_in_steps=burn_in_epochs * instance.spec.n,
         window_index=window_index,
         replications=reps,
         normalized=normalized,
@@ -370,24 +365,14 @@ def sensitivity(problem, noise_sd, seed, out, w_values, q_values, etas, seeds, e
     n = instance.spec.n
     if any(w < 1 or n % w for w in w_values):
         raise click.UsageError(f"every w must be a positive divisor of n={n}, got {w_values}")
-    base = start_point(instance.spec, start)
     t1 = t1_epochs * n
-    configs = [
-        SplitSgdConfig(eta=etas[0], w=w, l=n // w, q=q, t1=t1, gamma=gamma)
+    cells = [
+        ((w, q, eta), "splitsgd", eta, SplitSgdConfig(eta=eta, w=w, l=n // w, q=q, t1=t1, gamma=gamma))
         for w in w_values
         for q in q_values
-    ]
-    payloads = [
-        (instance, base, "splitsgd", eta, s, seed, epochs, t1, cfg)
-        for cfg in configs
         for eta in etas
-        for s in range(seeds)
     ]
-    results = _pool_map(_compare_cell, payloads, threads)
-    rows = sorted(
-        (cfg.w, cfg.q, eta, s, value)
-        for (*_, cfg), (_, eta, s, value) in zip(payloads, results)
-    )
+    rows = _grid(instance, seed, start, seeds, epochs, t1, cells, threads)
     write_csv(out, ["w", "q", "eta", "seed", "final_log_loss"], rows)
     _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")

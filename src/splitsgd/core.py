@@ -159,8 +159,8 @@ _CHUNK = 1024
 
 
 def _sigmoid_scalar(z: float) -> float:
-    # Scalar logistic function for the per-draw hot paths; clipping at
-    # |z| = 40 is exact in float64.
+    # Scalar logistic function for the per-draw hot paths, clipped as
+    # objectives.sigmoid is (not exact below -40; the artifacts' bits need it).
     if z < -40.0:
         z = -40.0
     elif z > 40.0:
@@ -224,7 +224,7 @@ def sgd_steps(
 
 # A lockstep index buffer holds at most this many steps per row and this
 # many indices in all, so its memory stays small at any row count; the
-# margins (checked for finiteness) and residuals are held a block at a time.
+# residuals, and the logistic margins, are held a block at a time.
 # Indices are int32: a bounded draw gives the same stream at either integer
 # width, and a dataset of 2**31 rows or more cannot fit in memory anyway.
 _LOCKSTEP_STEPS = 1024
@@ -269,7 +269,8 @@ def lockstep_steps(
     chunk = min(_LOCKSTEP_STEPS, max(steps, 1), max(1, _LOCKSTEP_INDICES // max(n_rows, 1)))
     idx = np.empty((chunk, n_rows), dtype=np.int32)
     resid = np.empty((min(_LOCKSTEP_BLOCK, chunk), n_rows))
-    margins = np.empty_like(resid)
+    # Checked per block: linear residuals (finite iff their margins are), or logistic margins.
+    margins = np.empty(n_rows if linear else resid.shape)
     sums = None if l is None else np.zeros((steps // l, n_rows, d))
     grad, scale = np.empty((n_rows, d)), np.empty((n_rows, 1))
     if products is not None:
@@ -288,18 +289,19 @@ def lockstep_steps(
                 # Each block row holds its targets until the residual
                 # overwrites them.
                 block = resid[: min(resid.shape[0], k - first)]
-                zs = margins[: block.shape[0]]
+                zs = block if linear else margins[: block.shape[0]]
                 targets.take(idx[first : first + block.shape[0]], out=block)
                 for j, r in enumerate(block):
                     t = done + first + j
                     if sums is not None and t % l == 0:
                         window = sums[t // l]
                     x = features.take(idx[first + j], axis=0)
-                    z = vecdot(x, thetas, out=zs[j])
-                    if not linear:
+                    if linear:
+                        z = vecdot(x, thetas, out=margins)
+                    else:
                         # _sigmoid_scalar's operations on a copy of the margins;
                         # math.exp, not np.exp: the two differ in the last bit.
-                        z = clip(z, -40.0, 40.0)
+                        z = clip(vecdot(x, thetas, out=zs[j]), -40.0, 40.0)
                         negative(z, out=z)
                         z = np.fromiter(map(exp, z.tolist()), np.float64, n_rows)
                         z += 1.0

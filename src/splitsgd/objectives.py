@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DATA_STREAM_CHILD, START_STREAM_CHILD  # noqa: F401
-from .core import RngStream, _sigmoid_scalar, as_param_vector
+from .core import DATA_STREAM_CHILD, RngStream, _sigmoid_scalar, as_param_vector, replication_streams
 
 __all__ = [
     "Dataset",
@@ -31,6 +30,7 @@ __all__ = [
     "make_default_spec",
     "perturbed_start",
     "read_dataset_csv",
+    "replication_starts",
     "reversed_start",
     "sigmoid",
     "start_point",
@@ -110,8 +110,11 @@ def make_default_spec(
 def sigmoid(z):
     """Numerically safe logistic function for arrays.
 
-    Clipping at |z| = 40 is exact in float64: the sigmoid saturates to
-    0.0 / 1.0 well before that.
+    The margin is clipped to [-40, 40]: exact above, where float64 rounds
+    the sigmoid to 1.0 from z ~ 36.8 on, but not below, where it keeps
+    shrinking (4.25e-18 at -40, 1.93e-22 at -50) until ``exp(-z)``
+    overflows below z ~ -709.8.  The clip stays: every logistic artifact's
+    bits depend on it.
     """
     z = np.clip(z, -40.0, 40.0)
     return 1.0 / (1.0 + np.exp(-z))
@@ -205,6 +208,16 @@ def perturbed_start(base: np.ndarray, rng: RngStream, noise_sd: float = 0.1) -> 
     """base + N(0, noise_sd^2 I) drawn from a dedicated stream."""
     gen = rng.generator()
     return base + noise_sd * gen.standard_normal(base.shape[0])
+
+
+def replication_starts(spec: ProblemSpec, start: str, experiment: RngStream, reps,
+                       noise_sd: float = 0.1) -> tuple[np.ndarray, list[RngStream]]:
+    """Start points of replications ``reps`` of ``experiment`` as an (R, d)
+    array, each the ``start`` point plus N(0, noise_sd^2 I) from its
+    start-noise stream, and their main streams (see ``core``'s layout)."""
+    base = start_point(spec, start)
+    noise, mains = replication_streams(experiment, reps)
+    return np.stack([perturbed_start(base, rng, noise_sd) for rng in noise]), mains
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

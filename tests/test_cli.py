@@ -16,10 +16,9 @@ import splitsgd
 import splitsgd.cli as cli_module
 import splitsgd.optimizers as optimizers_module
 from splitsgd.cli import cli, main
-from splitsgd.core import DivergenceError, RngStream
+from splitsgd.core import START_STREAM_CHILD, DivergenceError, RngStream
 from splitsgd.objectives import (
     DATA_STREAM_CHILD,
-    START_STREAM_CHILD,
     build_problem,
     make_default_spec,
     perturbed_start,
@@ -114,14 +113,37 @@ class TestCompare:
         assert out.read_bytes() == first_csv
         assert (tmp_path / "cmp.csv.meta").read_bytes() == first_meta
 
-    def test_worker_pool_matches_sequential(self, runner, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["compare", "--methods", "splitsgd,const,sqrt,half", "--etas", "1e-2,1",
+         "--epochs", "2", "--seeds", "2", "--t1-epochs", "1"],
+        ["sensitivity", "--w-values", "10,20", "--q-values", "0.4", "--etas", "1e-2",
+         "--epochs", "2", "--seeds", "1", "--t1-epochs", "1"],
+    ], ids=lambda args: args[0])
+    def test_worker_pool_matches_sequential(self, runner, tmp_path, args):
         seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"
-        base = ["compare", "--methods", "const", "--etas", "1e-3", "--epochs", "1",
-                "--seeds", "2"]
-        assert runner.invoke(cli, base + ["--threads", "1", "--out", str(seq)]).exit_code == 0
-        assert runner.invoke(cli, base + ["--threads", "2", "--out", str(par)]).exit_code == 0
+        assert runner.invoke(cli, args + ["--threads", "1", "--out", str(seq)]).exit_code == 0
+        assert runner.invoke(cli, args + ["--threads", "2", "--out", str(par)]).exit_code == 0
         assert seq.read_bytes() == par.read_bytes()
+        if args[0] == "compare":
+            # The eta = 1 cells diverge in the workers too.
+            assert ",inf\n" in seq.read_text()
+
+    def test_drivers_are_looked_up_at_call_time(self, runner, tmp_path, monkeypatch):
+        # A wrapper set on splitsgd.cli after import sees every cell of its
+        # method, and only those.
+        def diverge(*args):
+            raise DivergenceError("iterate diverged at step 0", step=0)
+
+        args = ["compare", "--etas", "1e-2", "--epochs", "1", "--seeds", "2", "--t1-epochs", "1"]
+        plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+        assert runner.invoke(cli, args + ["--out", str(plain)]).exit_code == 0
+        monkeypatch.setattr(cli_module, "run_sgd_half", diverge)
+        result = runner.invoke(cli, args + ["--out", str(patched)])
+        assert result.exit_code == 0, result.output
+        for before, after in zip(_rows(plain)[1], _rows(patched)[1]):
+            assert after[3] == ("inf" if after[0] == "half" else before[3])
+            assert before[3] != "inf"
 
     def test_zero_rate_final_loss_ignores_budget(self, runner, tmp_path):
         values = []

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from splitsgd.core import RngStream
+from splitsgd.core import MAIN_STREAM_CHILD, START_STREAM_CHILD, RngStream, experiment_stream
 from splitsgd.objectives import (
     Dataset,
     ProblemSpec,
@@ -19,8 +19,10 @@ from splitsgd.objectives import (
     make_default_spec,
     perturbed_start,
     read_dataset_csv,
+    replication_starts,
     reversed_start,
     sigmoid,
+    start_point,
     write_dataset_csv,
 )
 
@@ -212,6 +214,21 @@ class TestStartingPoints:
         b = perturbed_start(base, RngStream(4), noise_sd=0.1)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a - base) < 0.1 * math.sqrt(20) * 3
+
+    @pytest.mark.parametrize("start", ["reversed", "near-opt"])
+    def test_replication_starts_follow_the_stream_layout(self, start):
+        # Row i is replication reps[i]'s perturbed start, drawn from its
+        # start-noise child; its main stream is the main-stream child.
+        spec = make_default_spec("linear")
+        experiment = experiment_stream(9)
+        reps = range(3, 6)
+        thetas, mains = replication_starts(spec, start, experiment, reps, noise_sd=0.7)
+        assert thetas.shape == (3, spec.d)
+        for theta, main, r in zip(thetas, mains, reps):
+            stream = experiment.fork(r)
+            expected = perturbed_start(start_point(spec, start), stream.fork(START_STREAM_CHILD), 0.7)
+            assert np.array_equal(theta, expected)
+            assert main == stream.fork(MAIN_STREAM_CHILD)
 
 
 class TestDatasetCsv:
