@@ -22,7 +22,8 @@ Run from the root of a checkout.  For each tree it records:
   (``_csvio.write_csv``, 1000 ``compare``-shaped rows), each interpreter
   giving the median of ``--repeats`` timings;
 * end-to-end ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` of the
-  ``compare`` and ``mc-stationary`` benchmark commands, of two ``race``
+  ``compare`` and ``mc-stationary`` benchmark commands (their arguments
+  read from ``WORKLOADS`` in perfbench/run.py), of two ``race``
   runs (4 replications over 40 epochs, and 100 over 20) and of a small
   ``sensitivity`` grid (2 window counts x 2 step sizes x 2 seeds, 10
   epochs), measured by ``perfbench/child.py`` exactly as the benchmark
@@ -42,13 +43,17 @@ Each side reports its median and quartiles over the pairs, and each row
 the number of pairs in which the after tree read lower.
 
 Set-up runs single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
-``PYTHONHASHSEED=0``, as the benchmark does.
+``PYTHONHASHSEED=0``, as the benchmark does.  The report's ``machine`` block
+records ``PYTHONDONTWRITEBYTECODE``: when it is set, every execution
+compiles the package from source, which shows in ``setup_s`` and
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -62,19 +67,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 
-# The benchmark's workload arguments (perfbench/run.py), seed 0.
+# Not benchmark workloads: both detectors, each running 4 and 100
+# replications as rows of one lockstep run, and the SplitSGD grid.
 COMMANDS = {
-    "compare": [
-        "compare", "--threads", "1", "--problem", "linear", "--start", "reversed",
-        "--methods", "splitsgd,const,sqrt,half", "--etas", "1e-5,1e-4,1e-3,1e-2,1e-1,1",
-        "--epochs", "10", "--seeds", "1",
-    ],
-    "mc-stationary": [
-        "mc", "--problem", "linear", "--eta", "1e-2", "--burn-in-epochs", "60",
-        "--reps", "250", "--window-index", "2", "--raw",
-    ],
-    # Not benchmark workloads: both detectors, each running 4 and 100
-    # replications as rows of one lockstep run, and the SplitSGD grid.
     "race": ["race", "--reps", "4", "--max-epochs", "40"],
     "race-100": ["race", "--reps", "100", "--max-epochs", "20"],
     "sensitivity": [
@@ -82,6 +77,20 @@ COMMANDS = {
         "--seeds", "2", "--epochs", "10", "--threads", "1",
     ],
 }
+
+
+def _commands() -> dict[str, list[str]]:
+    """The ``compare`` and ``mc-stationary`` workloads' arguments, read from
+    ``WORKLOADS`` in perfbench/run.py so the two cannot drift apart, then
+    ``COMMANDS``; each runs at seed 0."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for its sibling imports
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    # Registered before it runs: its dataclasses look their module up.
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workloads = {name: module.WORKLOADS[name] for name in ("compare", "mc-stationary")}
+    return {**{name: [w.command, *w.args] for name, w in workloads.items()}, **COMMANDS}
+
 
 LAYERS = r"""
 import json, os, statistics, sys, tempfile, time
@@ -243,7 +252,8 @@ def main(argv=None) -> int:
         layer_samples[side].append(layers(src, args.repeats))
     report = {
         "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
-                    "python": platform.python_version()},
+                    "python": platform.python_version(),
+                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "pairs": args.pairs,
         "src_lines": {side: src_lines(src) for side, src in sides.items()},
         "layers": _paired(layer_samples),
@@ -252,7 +262,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         count = 0
-        for name, command in COMMANDS.items():
+        for name, command in _commands().items():
             samples = {side: [] for side in sides}
             for side, src in _alternate(sides, args.pairs):
                 count += 1

@@ -14,12 +14,11 @@ every two-thread diagnostic (adding up window gradient sums) and both
 of its rows equals :func:`sgd_steps` on the same generator bit for bit,
 divergence step included, and :func:`sgd_steps` stays the faster at R = 1.
 
-Both loops follow one divergence rule: a run diverges at its first draw
-whose margin ``x.theta`` is not finite, or, when every margin stayed finite
-but the iterate the last step leaves is not, at that last step.  A linear
-residual is finite exactly when its margin is; a logistic one is clipped
-and stays finite, so the margin names its step wherever a call ends.  The
-schedules, the detectors, the diagnostic and the Monte-Carlo study all
+Both loops follow one divergence rule: a run diverges at the first draw
+it cannot take, the first whose margin ``x.theta`` is not finite.  A call
+that leaves a non-finite iterate names the draw after its last, which is
+that draw, so the step does not depend on where a driver cuts its calls.
+The schedules, the detectors, the diagnostic and the Monte-Carlo study all
 follow it.
 """
 
@@ -188,7 +187,7 @@ def sgd_steps(
     holding (at least) one per step.
 
     A divergence (see the module docstring) raises DivergenceError whose
-    ``step`` is ``first_step`` plus the index of the failing step in this call.
+    ``step`` is ``first_step`` plus the index of the draw it names in this call.
     """
     n, d = features.shape
     if theta.shape != (d,):
@@ -218,7 +217,7 @@ def sgd_steps(
                 multiply(x, scale, step)
                 subtract(theta, step, theta)
     if not np.isfinite(theta).all():
-        t = first_step + max(steps - 1, 0)
+        t = first_step + steps
         raise DivergenceError(f"iterate diverged at step {t}", step=t)
 
 
@@ -257,7 +256,8 @@ def lockstep_steps(
     a step adds ``(r * prev_r) * (x . prev_x)`` to ``total``, then keeps its
     own residual and data row; zeros before a row's first draw add an exact 0.
     ``failed[r]`` is the step at which row r diverged (see the module
-    docstring; ``max(steps - 1, 0)`` for its last step), or -1 if it did not.
+    docstring; ``steps`` when only the iterate the call leaves is not
+    finite), or -1 if it did not.
     A failed row keeps stepping until every row has failed; its sums,
     product sum and iterate are meaningless.
     """
@@ -323,5 +323,5 @@ def lockstep_steps(
                     failed[new] = done + first + bad[:, new].argmax(axis=0)
                     if (failed >= 0).all():
                         return sums, failed
-    failed[(failed < 0) & ~np.isfinite(thetas).all(axis=1)] = max(steps - 1, 0)
+    failed[(failed < 0) & ~np.isfinite(thetas).all(axis=1)] = steps
     return sums, failed

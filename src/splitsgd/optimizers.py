@@ -262,8 +262,6 @@ def run_sgd_half(
     current_len = t1
     while log.charged < log.budget:
         _run_segment(theta, current_eta, min(current_len, log.budget - log.charged), gen, log)
-        if log.charged >= log.budget:
-            break
         current_eta /= 2.0
         current_len *= 2
         log.pending = EVENT_HALVED
@@ -344,12 +342,12 @@ def run_split_detection(
 
     Until that verdict every run keeps rate ``cfg.eta`` and threads of
     ``cfg.t1`` steps, so the runs are rows of one lockstep loop: a thread
-    is one call over the live rows per epoch it spans, a diagnostic one
-    two-thread call, and a fired row steps no further, so each reads as a
-    one-row call.  A divergence raises DivergenceError whose ``row`` names
-    the run; on a main thread its ``step`` counts every draw of that run,
-    in a diagnostic the draws of thread ``thread``.  Calls end where
-    :func:`run_splitsgd`'s do, so the two report the same step.
+    is one call over the live rows, a diagnostic one two-thread call, and
+    a fired row steps no further, so each reads as a one-row call.  A
+    divergence raises DivergenceError whose ``row`` names the first run of
+    its call, in replication order, to diverge; on a main thread its
+    ``step`` counts every draw of that run, in a diagnostic the draws of
+    thread ``thread``.
     """
     if max_epochs < 0:
         raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
@@ -360,16 +358,14 @@ def run_split_detection(
     budget, diag_cost, charged, diags = max_epochs * n, cfg.w * cfg.l, 0, 0
     detected: list[int | None] = [None] * len(gens)
     while charged < budget and gens:
-        end = budget if diags >= cfg.B else min(charged + cfg.t1, budget)
-        while charged < end:
-            steps = min(end - charged, n - charged % n)
-            _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas,
-                                       cfg.eta, steps, gens)
-            diverged = np.flatnonzero(failed >= 0)
-            if diverged.size:
-                row, step = int(rows[diverged[0]]), charged + diags * diag_cost + int(failed[diverged[0]])
-                raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
-            charged += steps
+        steps = budget - charged if diags >= cfg.B else min(cfg.t1, budget - charged)
+        _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas,
+                                   cfg.eta, steps, gens)
+        diverged = np.flatnonzero(failed >= 0)
+        if diverged.size:
+            row, step = int(rows[diverged[0]]), charged + diags * diag_cost + int(failed[diverged[0]])
+            raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
+        charged += steps
         remaining = budget - charged
         if remaining <= 0 or diags >= cfg.B or remaining < diag_cost:
             continue

@@ -215,12 +215,12 @@ def _reference_thread(features, targets, family, theta, eta, windows, l, gen):
                 return sums, theta, step
             sums[step // l] += r * x
             theta -= (eta * r) * x
-    return sums, theta, -1 if np.isfinite(theta).all() else windows * l - 1
+    return sums, theta, -1 if np.isfinite(theta).all() else windows * l
 
 
 def _blow_up_problem():
     """Four data rows; drawing the last one overflows the iterate, so a
-    thread diverges at the draw after it (or at its last step)."""
+    thread diverges at the draw after it, which may lie past its last step."""
     features = np.array([[1.0], [0.5], [-1.0], [1e154]])
     spec = ProblemSpec(family="linear", n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
                        data_seed=RngStream(0))
@@ -303,15 +303,16 @@ class TestLockstepWindows:
                 assert np.array_equal(thetas[r], theta)
         assert diverged == (rows if family == "linear" and eta == 1.0 else 0)
 
-    @pytest.mark.parametrize("family, big", [("linear", 1e154), ("logistic", 1e308)],
+    @pytest.mark.parametrize("family, big, last", [("linear", 1e154, 6), ("logistic", 1e308, 5)],
                              ids=["linear", "logistic"])
-    def test_rows_equal_sgd_steps_through_divergence(self, family, big):
-        # Drawing the big row overflows the iterate (its margin stays
-        # finite), so rows diverge at the next draw's margin or, drawing it
-        # last, at the last step.  Each row's failed step is the step at
-        # which sgd_steps raises on the same generator, and some rows
-        # overflow on the last step alone: their first steps - 1 steps stay
-        # finite.
+    def test_rows_equal_sgd_steps_through_divergence(self, family, big, last):
+        # Drawing the big row overflows the iterate, or its own margin, so
+        # rows diverge at that draw or the next.  Each row's failed step is
+        # the step at which sgd_steps raises on the same generator, and
+        # some rows blow up on the last step alone: their first steps - 1
+        # steps stay finite.  On the linear family that last margin is
+        # finite, so they are named at the draw after the call's last; on
+        # the logistic family it is not, so at the last step.
         features, targets = np.array([[1.0], [0.5], [-1.0], [big]]), np.zeros(4)
         rows, steps = 40, 6
         thetas = np.ones((rows, 1))
@@ -328,33 +329,38 @@ class TestLockstepWindows:
 
         assert failed.tolist() == [sgd_failed(r, steps) for r in range(rows)]
         last_only = [r for r in range(rows)
-                     if failed[r] == steps - 1 and sgd_failed(r, steps - 1) == -1]
+                     if failed[r] == last and sgd_failed(r, steps - 1) == -1]
         assert last_only and -1 in failed
 
-    def test_logistic_divergence_step_does_not_depend_on_call_length(self):
-        # Drawing the big row overflows the iterate while the clipped
-        # residual stays finite; the next draw's margin is not, so a call
-        # that reaches that draw names it, however many steps it runs, in
-        # both loops.
-        features, targets = np.array([[1.0], [0.5], [-1.0], [1e308]]), np.zeros(4)
-        rows, named = 40, {}
-        for steps in (5, 6, 9, 20):
+    @pytest.mark.parametrize("family, big", [("linear", 1e154), ("logistic", 1e308)],
+                             ids=["linear", "logistic"])
+    def test_divergence_step_does_not_depend_on_call_length(self, family, big):
+        # Drawing the big row overflows the iterate, or its own margin; a
+        # row diverges at the first draw whose margin is not finite.  A call
+        # that reaches that draw names it, and one that ends just before it
+        # names the draw after its last, which is the same draw.  So a row
+        # that diverges in a call of k steps names the same step in every
+        # longer call, in both loops.
+        features, targets = np.array([[1.0], [0.5], [-1.0], [big]]), np.zeros(4)
+        rows, lengths, named = 40, (3, 4, 5, 6, 7, 9, 20), {}
+        for steps in lengths:
             thetas = np.ones((rows, 1))
-            _, failed = lockstep_steps(features, targets, "logistic", thetas, 10.0, steps,
+            _, failed = lockstep_steps(features, targets, family, thetas, 10.0, steps,
                                        [RngStream(38).fork(r).generator() for r in range(rows)])
             named[steps] = failed.tolist()
             for r in range(rows):
                 try:
-                    sgd_steps(features, targets, "logistic", np.ones(1), 10.0, steps,
+                    sgd_steps(features, targets, family, np.ones(1), 10.0, steps,
                               RngStream(38).fork(r).generator())
                 except DivergenceError as exc:
                     assert exc.step == failed[r]
                 else:
                     assert failed[r] == -1
-        early = [r for r in range(rows) if 0 <= named[20][r] < 4]
-        assert early
-        for steps in (5, 6, 9):
-            assert [named[steps][r] for r in early] == [named[20][r] for r in early]
+        assert any(step >= 0 for step in named[lengths[0]])
+        for i, k in enumerate(lengths):
+            for r in range(rows):
+                if named[k][r] >= 0:
+                    assert all(named[m][r] == named[k][r] for m in lengths[i + 1:]), (k, r)
 
     def test_late_divergence_step_is_exact(self):
         # |1 - eta * x^2| is 1.25 or 3, so the iterate grows geometrically

@@ -215,12 +215,12 @@ class TestRunDiagnostic:
 
     def test_overflow_on_last_step_is_divergence(self):
         # The only step's margin (1e308) is finite but overflows the
-        # iterate; the thread-end check still reports it.
+        # iterate; the thread-end check names the draw after it, step 1.
         problem = _one_row_problem([1e154], 0.0)
         cfg = DiagnosticConfig(eta=10.0, w=1, l=1, q=0.4)
         with pytest.raises(DivergenceError) as excinfo:
             run_diagnostic(problem, np.array([1e154]), cfg, rng=RngStream(0))
-        assert (excinfo.value.thread, excinfo.value.step) == (1, 0)
+        assert (excinfo.value.thread, excinfo.value.step) == (1, 1)
 
     def test_overflowing_coherence_is_divergence(self):
         # Frozen iterates keep both threads finite, but every window mean

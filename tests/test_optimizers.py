@@ -418,16 +418,18 @@ class TestSplitDetection:
         assert error([0, 2]) == (1, 2, 1, diag)
         assert error([0, 1, 2]) == (2, 2, 1, diag)
 
-    @pytest.mark.parametrize("family, big, t1, rng", [
-        ("linear", 1e154, 4, RngStream(7, 5)),
-        ("logistic", 1e308, 8, RngStream(1)),
+    @pytest.mark.parametrize("family, big, t1, rng, step", [
+        ("linear", 1e154, 4, RngStream(7, 5), 4),
+        ("logistic", 1e308, 8, RngStream(1), 3),
     ], ids=["linear", "logistic"])
-    def test_single_run_and_rows_name_the_same_divergence(self, family, big, t1, rng):
-        # The fourth draw picks the big row and overflows the iterate on the
-        # first epoch's last step, before any diagnostic starts.  No margin
-        # of that epoch's call is non-finite, so on both families the run
-        # blows up at the end of that call, which the detector rows cut
-        # where the traced run does.  Both report the same step.
+    def test_single_run_and_rows_name_the_same_divergence(self, family, big, t1, rng, step):
+        # The fourth draw picks the big row, on the first epoch's last step,
+        # before any diagnostic starts.  On the linear family its margin is
+        # finite and overflows the iterate, so the run diverges at the next
+        # draw, step 4: the traced run's epoch call names the draw after its
+        # last, and the detector's one thread call reaches it.  On the
+        # logistic family that fourth margin is already not finite (step 3).
+        # Both report the same step.
         spec = ProblemSpec(
             family=family, n=4, d=1, theta_star=np.zeros(1), noise_sd=0.0,
             data_seed=RngStream(0),
@@ -441,7 +443,7 @@ class TestSplitDetection:
         with pytest.raises(DivergenceError) as rows:
             run_split_detection(problem, cfg, [np.ones(1)], [rng], 5)
         for err in (single.value, rows.value):
-            assert (err.step, err.thread, str(err)) == (3, None, "iterate diverged at step 3")
+            assert (err.step, err.thread, str(err)) == (step, None, f"iterate diverged at step {step}")
 
     def test_budget_validation(self, small_linear_problem):
         cfg = SplitSgdConfig(eta=1e-3, w=4, l=5, t1=40)
