@@ -42,11 +42,16 @@ interpreter (layer rows) or one execution (end to end) at a time,
 Each side reports its median and quartiles over the pairs, and each row
 the number of pairs in which the after tree read lower.
 
-Set-up runs single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
-``PYTHONHASHSEED=0``, as the benchmark does.  The report's ``machine`` block
-records ``PYTHONDONTWRITEBYTECODE``: when it is set, every execution
-compiles the package from source, which shows in ``setup_s`` and
-``peak_rss_mb``.
+Both trees are first copied to paths of equal length under one temporary
+directory, so neither side's paths are longer than the other's.  Set-up runs
+single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
+``PYTHONHASHSEED=0``, as the benchmark does, and lets bytecode caches be
+written whatever the host's ``PYTHONDONTWRITEBYTECODE``: one untimed
+import per tree compiles the package, so no timed execution does.  The
+report's ``machine`` block records the host's ``PYTHONDONTWRITEBYTECODE``
+and the OpenBLAS core that numpy's BLAS chose when it loaded
+(``OPENBLAS_VERBOSE=2``): margins go through its ``ddot``, whose kernel
+decides the last bits of every artifact.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ import importlib.util
 import json
 import os
 import platform
+import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -177,9 +184,20 @@ FILES = ("out.csv", "out.csv.meta")
 
 def _env(src: Path) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     return env
+
+
+def openblas_core(src: Path) -> str | None:
+    """The core OpenBLAS reports when numpy loads it, e.g. ``SkylakeX``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import numpy"], env={**_env(src), "OPENBLAS_VERBOSE": "2"},
+        capture_output=True, text=True, check=True,
+    )
+    found = re.search(r"Core: (\S+)", proc.stdout + proc.stderr)
+    return found and found.group(1)
 
 
 def layers(src: Path, repeats: int) -> dict[str, float]:
@@ -245,22 +263,29 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=25)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
-    layer_samples = {side: [] for side in sides}
-    for side, src in _alternate(sides, args.pairs):
-        layer_samples[side].append(layers(src, args.repeats))
-    report = {
-        "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
-                    "python": platform.python_version(),
-                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
-        "pairs": args.pairs,
-        "src_lines": {side: src_lines(src) for side, src in sides.items()},
-        "layers": _paired(layer_samples),
-        "end_to_end": {},
-        "artifacts": {},
-    }
     with tempfile.TemporaryDirectory() as tmp:
+        # Equal-length copies: tree0/src and tree1/src.
+        sides = {}
+        for i, (side, src) in enumerate((("before", args.before), ("after", args.after))):
+            sides[side] = shutil.copytree(src.resolve(), Path(tmp) / f"tree{i}" / "src",
+                                          ignore=shutil.ignore_patterns("__pycache__"))
+            subprocess.run([sys.executable, "-c", "import splitsgd.cli"], env=_env(sides[side]),
+                           check=True)
+        layer_samples = {side: [] for side in sides}
+        for side, src in _alternate(sides, args.pairs):
+            layer_samples[side].append(layers(src, args.repeats))
+        report = {
+            "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
+                        "python": platform.python_version(),
+                        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                        "openblas_core": openblas_core(sides["after"])},
+            "pairs": args.pairs,
+            "src_lines": {side: src_lines(src) for side, src in sides.items()},
+            "layers": _paired(layer_samples),
+            "end_to_end": {},
+            "artifacts": {},
+        }
         count = 0
         for name, command in _commands().items():
             samples = {side: [] for side in sides}

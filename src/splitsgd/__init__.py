@@ -16,7 +16,8 @@ The package bundles:
 All randomness flows through :class:`splitsgd.core.RngStream`, a
 counter-based generator keyed by ``(seed, stream_id)`` whose ``fork``
 derivation is pure integer arithmetic, so every artifact is reproducible
-bit-for-bit across platforms.
+bit for bit on one machine (across machines, see README "Determinism and
+seeding": margins go through the OpenBLAS kernel picked for the CPU).
 """
 
 from .core import DimensionError, DivergenceError, NumericError, RngStream

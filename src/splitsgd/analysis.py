@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, check_step_size, diagnostic_stream, lockstep_steps
-from .diagnostic import DiagnosticConfig, _two_thread_window_means, _window_coherences, decide
+from .diagnostic import DiagnosticConfig, _two_thread_window_means, _verdicts, decide
 from .objectives import Problem, ProblemSpec, build_problem, replication_starts
 
 __all__ = [
@@ -107,13 +107,13 @@ def coherence_histogram(
     )
 
     kept_reps = np.flatnonzero(failed < 0)
-    means, _, failed = _two_thread_window_means(
+    means, ends, failed = _two_thread_window_means(
         problem,
         thetas[kept_reps],
         diag_cfg,
         [diagnostic_stream(mains[r], 1) for r in kept_reps],
     )
-    coherences, bad = _window_coherences(means, failed)
+    coherences, bad = _verdicts(means, ends, failed, diag_cfg.q)[:2]
     ok = ~bad
     diverged = int(n_rep - ok.sum())
     means_1, means_2 = means[study.window_index - 1][:, ok]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import click
 
@@ -28,7 +28,8 @@ from .analysis import (
     coherence_histogram,
     type1_error_probability,
 )
-from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream, experiment_stream
+from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream, check_step_size
+from .core import experiment_stream
 from .objectives import (
     FAMILIES,
     START_POINTS,
@@ -193,7 +194,7 @@ def _cell(problem, epochs, t1, method, eta, split_cfg, theta0, rng) -> float:
     drivers are read as module globals at call time, so wrappers set on them apply."""
     try:
         if method == "splitsgd":
-            trace = run_splitsgd(problem, replace(split_cfg, eta=eta), theta0, rng, epochs)
+            trace = run_splitsgd(problem, split_cfg, theta0, rng, epochs)
         elif method == "const":
             trace = run_constant_sgd(problem, eta, theta0, rng, epochs)
         elif method == "sqrt":
@@ -236,10 +237,11 @@ def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t
     """Final log loss per (method, step size, seed) after a fixed budget."""
     instance = _make_problem(problem, seed, noise_sd)
     t1 = t1_epochs * instance.spec.n
-    split_cfg = None
-    if "splitsgd" in methods:
-        split_cfg = SplitSgdConfig(eta=etas[0], w=w, l=l, q=q, t1=t1, gamma=gamma)
-    cells = [((method, eta), method, eta, split_cfg) for method in methods for eta in etas]
+    for eta in etas:
+        check_step_size(eta)
+    split_cfg = functools.partial(SplitSgdConfig, w=w, l=l, q=q, t1=t1, gamma=gamma)
+    cells = [((method, eta), method, eta, split_cfg(eta=eta) if method == "splitsgd" else None)
+             for method in methods for eta in etas]
     rows = _grid(instance, seed, start, seeds, epochs, t1, cells, threads)
     write_csv(out, ["method", "eta", "seed", "final_log_loss"], rows)
     _sidecar()

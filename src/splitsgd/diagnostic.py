@@ -9,10 +9,11 @@ thread's trajectory is cut into w windows of l steps and the sampled
 gradients are averaged per window; the inner products of paired window means
 ("gradient coherences") stay positive while both threads descend a shared
 trend and approach fair coin flips once the iterates bounce around a
-stationary distribution.  The decision rule counts negative coherences
-against a q*w threshold.  A diverging diagnostic raises DivergenceError
-naming the thread (thread 1 if it diverged, else thread 2) and its step, or,
-with both threads finite, the first window whose coherence is not finite.
+stationary distribution.  One verdict step (:func:`_verdicts`) counts each
+row's negative coherences against a q*w threshold and continues it from its
+threads' midpoint.  A diverging diagnostic raises DivergenceError naming
+the thread (thread 1 if it diverged, else thread 2) and its step, or, with
+both threads finite, the first window whose coherence is not finite.
 
 The sign balance is not immediate even at stationarity: both threads start
 from the same theta_in, so window i's mean gradient carries a conditional
@@ -70,22 +71,25 @@ class DiagnosticResult:
     negative_count: float  # sum of (1 - sign(Q_i)) / 2; zeros count one half
 
 
-def decide(coherences, q: float) -> tuple[bool, float]:
-    """Apply the counting rule to a sequence of coherences.
+def decide(coherences, q: float):
+    """Apply the counting rule to a sequence of coherences, or to each
+    column of a ``(w, R)`` block of them.
 
     Returns (stationary, negative_count) where negative_count adds 1 per
     negative value and 1/2 per exact zero; stationary iff
-    negative_count >= q * len(coherences).
+    negative_count >= q * w.  A sequence gives a (bool, float) pair, a
+    block two length-R arrays.
     """
     values = np.asarray(coherences, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("coherences must be a non-empty 1-D sequence")
+    if values.ndim not in (1, 2) or not len(values):
+        raise ValueError("coherences must be a non-empty 1-D sequence or 2-D block")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    negative_count = float(np.count_nonzero(values < 0.0)) + 0.5 * float(
-        np.count_nonzero(values == 0.0)
-    )
-    return negative_count >= q * values.size, negative_count
+    count = np.count_nonzero(values < 0.0, axis=0) + 0.5 * np.count_nonzero(values == 0.0, axis=0)
+    stationary = count >= q * len(values)
+    if values.ndim == 1:
+        return bool(stationary), float(count)
+    return stationary, count
 
 
 def _two_thread_window_means(
@@ -97,8 +101,8 @@ def _two_thread_window_means(
     """Split every row of ``thetas_in`` into two threads, all in lockstep.
 
     Thread k (1 or 2) of row r draws from child stream k of ``rngs[r]``.
-    Returns ``(means, thetas, failed)`` indexed by thread 0/1 and row:
-    ``means[i, k, r]`` is the window-i gradient mean, ``thetas[k, r]`` the
+    Returns ``(means, ends, failed)`` indexed by thread 0/1 and row:
+    ``means[i, k, r]`` is the window-i gradient mean, ``ends[k, r]`` the
     final iterate and ``failed[k, r]`` the divergence step, -1 if none
     (see :func:`splitsgd.core.lockstep_steps`).
     """
@@ -118,37 +122,31 @@ def _two_thread_window_means(
     )
 
 
-def _window_coherences(means: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coherences ``(w, R)`` of a :func:`_two_thread_window_means` result,
-    and which rows diverged: a thread failed, or a coherence is not finite.
+def _verdicts(means: np.ndarray, ends: np.ndarray, failed: np.ndarray, q: float, rows=None):
+    """The ``(w, R)`` coherences of a :func:`_two_thread_window_means` result,
+    which rows diverged (a thread failed, or a coherence is not finite), each
+    row's :func:`decide` verdict and count, and its threads' midpoint.
+
+    Given ``rows``, the rows' replication ids, raises DivergenceError for the
+    first diverged row (thread 1 named first, then thread 2, then a
+    non-finite coherence); its ``row`` is ``rows[r]``.
     """
     # Overflowing window means are a divergence signal, not an anomaly.
     with np.errstate(over="ignore", invalid="ignore"):
         coherences = np.vecdot(means[:, 0], means[:, 1])
-    return coherences, (failed >= 0).any(axis=0) | ~np.isfinite(coherences).all(axis=0)
-
-
-def _coherences(means: np.ndarray, failed: np.ndarray, rows=None) -> np.ndarray:
-    """Coherences ``(w, R)`` of a :func:`_two_thread_window_means` result.
-
-    Raises DivergenceError for the first diverged row (thread 1 named
-    first, then thread 2, then a non-finite coherence); its ``row`` is
-    ``rows[r]``, or None without ``rows``.
-    """
-    coherences, bad = _window_coherences(means, failed)
-    if bad.any():
-        r = int(bad.argmax())
-        row = None if rows is None else int(rows[r])
+    diverged = (failed >= 0).any(axis=0) | ~np.isfinite(coherences).all(axis=0)
+    if rows is not None and diverged.any():
+        r = int(diverged.argmax())
         for k in (0, 1):
             step = int(failed[k, r])
             if step >= 0:
                 raise DivergenceError(f"diagnostic thread {k + 1} diverged at step {step}",
-                                      step=step, thread=k + 1, row=row)
+                                      step=step, thread=k + 1, row=rows[r])
         window = int((~np.isfinite(coherences[:, r])).argmax()) + 1
         raise DivergenceError(
-            f"diagnostic coherence {window} of {len(coherences)} is not finite", row=row
+            f"diagnostic coherence {window} of {len(coherences)} is not finite", row=rows[r]
         )
-    return coherences
+    return coherences, diverged, *decide(coherences, q), (ends[0] + ends[1]) / 2.0
 
 
 def run_diagnostic(
@@ -157,16 +155,14 @@ def run_diagnostic(
     cfg: DiagnosticConfig,
     rng: RngStream = RngStream(0),
 ) -> DiagnosticResult:
-    """Run the two-thread diagnostic from theta_in.
+    """Run the two-thread diagnostic from theta_in: a one-row
+    :func:`_verdicts` call, which also names any divergence.
 
     Costs exactly 2*w*l gradient draws.  Each thread starts from theta_in
-    with its own child stream of ``rng``.  A divergence names thread 1 if
-    thread 1 diverged, else thread 2; with both threads finite, a
-    non-finite coherence (overflowing window means) is a divergence too.
+    with its own child stream of ``rng``.
     """
     theta_in = as_param_vector(theta_in, require_finite=False)
-    means, thetas, failed = _two_thread_window_means(problem, theta_in[None], cfg, [rng])
-    coherences = _coherences(means, failed)[:, 0]
-    stationary, negative_count = decide(coherences, cfg.q)
-    theta_d = (thetas[0, 0] + thetas[1, 0]) / 2.0
-    return DiagnosticResult(theta_d, stationary, coherences, negative_count)
+    coherences, _, stationary, count, midpoints = _verdicts(
+        *_two_thread_window_means(problem, theta_in[None], cfg, [rng]), cfg.q, [None]
+    )
+    return DiagnosticResult(midpoints[0], bool(stationary[0]), coherences[:, 0], float(count[0]))

@@ -22,8 +22,7 @@ import numpy as np
 from ._csvio import write_csv
 from .core import DivergenceError, RngStream, as_param_vector, check_step_size
 from .core import diagnostic_stream, lockstep_steps, sgd_steps
-from .diagnostic import DiagnosticConfig, _coherences, _two_thread_window_means, decide
-from .diagnostic import run_diagnostic
+from .diagnostic import DiagnosticConfig, _two_thread_window_means, _verdicts, run_diagnostic
 from .objectives import Problem, full_loss
 
 __all__ = [
@@ -191,11 +190,13 @@ def _run_segment(
     steps: int,
     gen: np.random.Generator,
     log: _EpochLog,
+    halve: bool = False,
 ) -> None:
     """Run ``steps`` main-thread SGD updates at fixed eta, in place.
 
     Calls are cut at epoch boundaries so boundary records see the exact
-    boundary iterate.
+    boundary iterate.  With ``halve`` the rate halves after the last step,
+    so a record written there carries the new rate and ``lr-halved``.
     """
     while steps > 0:
         k = min(steps, log.steps_to_boundary())
@@ -203,8 +204,10 @@ def _run_segment(
             log.dataset.features, log.dataset.targets, log.family, theta, eta, k, gen,
             first_step=log.evals,
         )
-        log.advance(k, k, theta)
         steps -= k
+        if halve and not steps:
+            log.current_eta, log.pending = eta / 2.0, EVENT_HALVED
+        log.advance(k, k, theta)
 
 
 def sqrt_decay_schedule(eta: float, t):
@@ -258,14 +261,11 @@ def run_sgd_half(
     log = _EpochLog(problem, budget_epochs)
     log.log_initial(theta, eta)
     gen = rng.generator()
-    current_eta = eta
     current_len = t1
     while log.charged < log.budget:
-        _run_segment(theta, current_eta, min(current_len, log.budget - log.charged), gen, log)
-        current_eta /= 2.0
+        steps = min(current_len, log.budget - log.charged)
+        _run_segment(theta, log.current_eta, steps, gen, log, log.charged + steps < log.budget)
         current_len *= 2
-        log.pending = EVENT_HALVED
-        log.current_eta = current_eta
     return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
 
 
@@ -370,13 +370,10 @@ def run_split_detection(
         if remaining <= 0 or diags >= cfg.B or remaining < diag_cost:
             continue
         diags += 1
-        means, ends, failed = _two_thread_window_means(
+        _, _, fired, _, thetas = _verdicts(*_two_thread_window_means(
             problem, thetas, diag_cfg, [diagnostic_stream(rngs[row], diags) for row in rows]
-        )
-        coherences = _coherences(means, failed, rows)
-        thetas = (ends[0] + ends[1]) / 2.0
+        ), cfg.q, rows.tolist())
         charged += diag_cost
-        fired = np.array([decide(values, cfg.q)[0] for values in coherences.T])
         for row in rows[fired]:
             detected[row] = math.ceil(charged / n)
         rows, thetas = rows[~fired], thetas[~fired]

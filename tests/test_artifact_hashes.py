@@ -8,6 +8,12 @@ diagnostic (``--t1-epochs 1``) and a divergent rate on both families, the
 pflug detector and the split detector in ``race``, raw ``mc`` on both
 families and normalized ``mc`` (lockstep burn-in plus two-thread
 windows), one ``sensitivity`` cell and ``gen-data``.
+
+The pins hold under OpenBLAS's ``SkylakeX`` core, the one it picks on an
+AVX-512 x86-64 CPU (``OPENBLAS_VERBOSE=2`` prints it).  Margins go through
+its ``ddot``, so another core can move the last bits: forcing
+``OPENBLAS_CORETYPE=Haswell`` on such a CPU fails the two ``compare`` pins
+and the three ``mc`` pins.
 """
 
 import hashlib

@@ -544,6 +544,20 @@ class TestInputContract:
         assert not out.exists()
         assert not (tmp_path / "x.csv.meta").exists()
 
+    @pytest.mark.parametrize("methods", ["splitsgd", "const,sqrt,half"])
+    def test_compare_rejects_every_eta_before_any_cell(self, runner, tmp_path, monkeypatch, methods):
+        def driver(*args):
+            raise AssertionError("a cell ran")
+
+        for name in ("run_splitsgd", "run_constant_sgd", "run_sqrt_decay_sgd", "run_sgd_half"):
+            monkeypatch.setattr(cli_module, name, driver)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(cli, ["compare", "--methods", methods, "--etas", "1e-2,-1",
+                                     "--epochs", "1", "--seeds", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "eta must be >= 0" in result.output
+        assert not out.exists()
+
     def test_race_config_gamma_is_usage_error(self, runner, tmp_path):
         # Neither race detector decays its rate, so race takes no gamma.
         cfg = tmp_path / "race.cfg"

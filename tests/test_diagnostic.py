@@ -14,6 +14,7 @@ from splitsgd.core import DivergenceError, RngStream, lockstep_steps
 from splitsgd.diagnostic import (
     DiagnosticConfig,
     _two_thread_window_means,
+    _verdicts,
     decide,
     run_diagnostic,
 )
@@ -77,6 +78,21 @@ class TestDecide:
         q_lo, q_hi = min(q_pair), max(q_pair)
         if decide(values, q_hi)[0]:
             assert decide(values, q_lo)[0]
+
+    @given(data=st.data(), w=st.integers(1, 12), rows=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_block_equals_each_column(self, data, w, rows):
+        # Exact zeros of both signs, and every q at which a count of
+        # half-units meets q * w.
+        value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+        block = np.array(data.draw(st.lists(
+            st.lists(value, min_size=rows, max_size=rows), min_size=w, max_size=w
+        )))
+        q = data.draw(st.sampled_from([k / (2 * w) for k in range(2 * w + 1)]))
+        stationary, counts = decide(block, q)
+        assert stationary.shape == counts.shape == (rows,)
+        columns = [decide(block[:, r], q) for r in range(rows)]
+        assert columns == list(zip(stationary.tolist(), counts.tolist()))
 
     # Magnitudes bounded away from the subnormal range: scaling by 1e-6 must
     # not underflow a nonzero value to 0.0, which would genuinely change the
@@ -171,18 +187,28 @@ class TestRunDiagnostic:
         assert q_regular == q_swapped
         assert np.array_equal((thetas[0, 0] + thetas[1, 0]) / 2, (swapped[0] + swapped[1]) / 2)
 
-    def test_rows_match_single_replication_calls(self, small_logistic_problem):
-        # Batching replications changes nothing: three start points split in
-        # one call equal three one-row calls, bit for bit.
+    def test_rows_match_single_replication_calls(self, small_linear_problem, small_logistic_problem):
+        # Batching replications changes nothing, on either family: six start
+        # points split in one call equal six one-row calls, and the verdict
+        # step over the six rows gives run_diagnostic's coherences, verdict,
+        # count and midpoint for each, bit for bit.
         cfg = DiagnosticConfig(eta=1e-2, w=3, l=4, q=0.4)
-        starts = RngStream(9).generator().standard_normal((3, 4))
-        rngs = [RngStream(9).fork(r) for r in range(3)]
-        batched = _two_thread_window_means(small_logistic_problem, starts, cfg, rngs)
-        for r in range(3):
-            alone = _two_thread_window_means(small_logistic_problem, starts[r:r + 1], cfg, rngs[r:r + 1])
-            assert np.array_equal(batched[0][:, :, r:r + 1], alone[0])
-            assert np.array_equal(batched[1][:, r:r + 1], alone[1])
-            assert np.array_equal(batched[2][:, r:r + 1], alone[2])
+        noise = RngStream(9).generator().standard_normal((6, 4))
+        rngs = [RngStream(9).fork(r) for r in range(6)]
+        for problem in (small_linear_problem, small_logistic_problem):
+            starts = problem.spec.theta_star + 0.1 * noise
+            batched = _two_thread_window_means(problem, starts, cfg, rngs)
+            coherences, diverged, stationary, counts, midpoints = _verdicts(*batched, cfg.q)
+            assert not diverged.any() and 0 < stationary.sum() < 6
+            for r in range(6):
+                alone = _two_thread_window_means(problem, starts[r:r + 1], cfg, rngs[r:r + 1])
+                assert np.array_equal(batched[0][:, :, r:r + 1], alone[0])
+                assert np.array_equal(batched[1][:, r:r + 1], alone[1])
+                assert np.array_equal(batched[2][:, r:r + 1], alone[2])
+                result = run_diagnostic(problem, starts[r], cfg, rngs[r])
+                assert np.array_equal(coherences[:, r], result.coherences)
+                assert (stationary[r], counts[r]) == (result.stationary, result.negative_count)
+                assert np.array_equal(midpoints[r], result.theta_d)
 
     def test_noiseless_oracle_never_stationary(self):
         problem = _one_row_problem([1.0, 2.0, 0.5, -1.0], 3.0)

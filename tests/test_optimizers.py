@@ -254,14 +254,31 @@ class TestSgdHalf:
     def test_rates_halve_and_threads_double(self, small_linear_problem):
         n = small_linear_problem.spec.n
         trace = run_sgd_half(small_linear_problem, 1e-2, n, np.ones(4), RngStream(3), 15)
-        # Thread boundaries at t1 * (2^k - 1) epochs: 1, 3, 7, 15.
+        # Thread boundaries at t1 * (2^k - 1) epochs: 1, 3, 7, 15.  Each
+        # boundary record carries the rate of the next draw and the halving;
+        # the last one, at the end of the budget, keeps the last draw's.
         rate_of = {record.epoch: record.learning_rate for record in trace.records}
-        assert rate_of[1] == 1e-2
-        assert rate_of[2] == 1e-2 / 2
-        assert rate_of[4] == 1e-2 / 4
-        assert rate_of[8] == 1e-2 / 8
+        assert rate_of[0] == 1e-2
+        assert rate_of[1] == 1e-2 / 2
+        assert rate_of[3] == 1e-2 / 4
+        assert rate_of[7] == 1e-2 / 8
+        assert rate_of[15] == 1e-2 / 8
         halvings = [record.epoch for record in trace.records if record.event == EVENT_HALVED]
-        assert halvings == [2, 4, 8]
+        assert halvings == [1, 3, 7]
+
+    def test_halving_on_an_epoch_boundary_shows_in_its_record(self, small_linear_problem):
+        n = small_linear_problem.spec.n
+        trace = run_sgd_half(small_linear_problem, 1e-2, 4 * n, np.ones(4), RngStream(3), 14)
+        events = {r.epoch: (r.learning_rate, r.event) for r in trace.records if r.event != EVENT_NONE}
+        assert events == {4: (0.005, EVENT_HALVED), 12: (0.0025, EVENT_HALVED)}
+        assert trace.records[5].learning_rate == 0.005 and trace.records[-1].learning_rate == 0.0025
+
+    def test_halving_inside_an_epoch_shows_at_the_next_boundary(self, small_linear_problem):
+        # Threads of 30 and 60 steps end at steps 30 and 90 of 60-step epochs.
+        trace = run_sgd_half(small_linear_problem, 1e-2, 30, np.ones(4), RngStream(3), 2)
+        assert [(r.learning_rate, r.event) for r in trace.records] == [
+            (1e-2, EVENT_NONE), (5e-3, EVENT_HALVED), (2.5e-3, EVENT_HALVED),
+        ]
 
     def test_rate_after_k_threads(self, small_linear_problem):
         trace = run_sgd_half(small_linear_problem, 0.8, 60, np.ones(4), RngStream(4), 31)
