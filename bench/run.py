@@ -40,10 +40,13 @@ Both kinds of rows are timed in pairs: the two trees alternate, one
 interpreter (layer rows) or one execution (end to end) at a time,
 ``--pairs`` times each, the first tree to run switching from pair to pair.
 Each side reports its median and quartiles over the pairs, and each row
-the number of pairs in which the after tree read lower.
+the number of pairs in which the after tree read lower.  The ``aa`` block
+times the before tree against a second copy of itself (its ``after``
+side) on ``compare`` and ``mc-stationary`` in the same way, so a bias of
+copy or order shows beside the before/after rows.
 
-Both trees are first copied to paths of equal length under one temporary
-directory, so neither side's paths are longer than the other's.  Set-up runs
+The trees are first copied to paths of equal length under one temporary
+directory, so no side's paths are longer than another's.  Set-up runs
 single-threaded BLAS (``OMP_NUM_THREADS=1`` and friends) and
 ``PYTHONHASHSEED=0``, as the benchmark does, and lets bytecode caches be
 written whatever the host's ``PYTHONDONTWRITEBYTECODE``: one untimed
@@ -59,6 +62,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import platform
@@ -265,13 +269,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        # Equal-length copies: tree0/src and tree1/src.
-        sides = {}
-        for i, (side, src) in enumerate((("before", args.before), ("after", args.after))):
-            sides[side] = shutil.copytree(src.resolve(), Path(tmp) / f"tree{i}" / "src",
-                                          ignore=shutil.ignore_patterns("__pycache__"))
-            subprocess.run([sys.executable, "-c", "import splitsgd.cli"], env=_env(sides[side]),
+        # Equal-length copies: tree0/src, tree1/src and tree2/src (the A/A twin).
+        copies = []
+        for i, src in enumerate((args.before, args.after, args.before)):
+            copies.append(shutil.copytree(src.resolve(), Path(tmp) / f"tree{i}" / "src",
+                                          ignore=shutil.ignore_patterns("__pycache__")))
+            subprocess.run([sys.executable, "-c", "import splitsgd.cli"], env=_env(copies[i]),
                            check=True)
+        sides = {"before": copies[0], "after": copies[1]}
+        runs = itertools.count()
+
+        def timed(sides, name, command):
+            """Per-side metrics of alternating executions, and their digests."""
+            samples, artifacts = {side: [] for side in sides}, {}
+            for side, src in _alternate(sides, args.pairs):
+                metrics, digests = execute(src, command, Path(tmp) / str(next(runs)))
+                samples[side].append(metrics)
+                if artifacts.setdefault(side, digests) != digests:
+                    raise SystemExit(f"{name} ({side}) wrote different bytes on a rerun")
+            return _paired(samples), artifacts
+
         layer_samples = {side: [] for side in sides}
         for side, src in _alternate(sides, args.pairs):
             layer_samples[side].append(layers(src, args.repeats))
@@ -284,19 +301,15 @@ def main(argv=None) -> int:
             "src_lines": {side: src_lines(src) for side, src in sides.items()},
             "layers": _paired(layer_samples),
             "end_to_end": {},
+            "aa": {},
             "artifacts": {},
         }
-        count = 0
-        for name, command in _commands().items():
-            samples = {side: [] for side in sides}
-            for side, src in _alternate(sides, args.pairs):
-                count += 1
-                metrics, digests = execute(src, command, Path(tmp) / str(count))
-                samples[side].append(metrics)
-                seen = report["artifacts"].setdefault(name, {}).setdefault(side, digests)
-                if seen != digests:
-                    raise SystemExit(f"{name} ({side}) wrote different bytes on a rerun")
-            report["end_to_end"][name] = _paired(samples)
+        commands = _commands()
+        for name, command in commands.items():
+            report["end_to_end"][name], report["artifacts"][name] = timed(sides, name, command)
+        twins = {"before": copies[0], "after": copies[2]}
+        for name in ("compare", "mc-stationary"):
+            report["aa"][name] = timed(twins, name, commands[name])[0]
     report["verdicts"], undeclared = {}, []
     for name, seen in report["artifacts"].items():
         before, after = seen["before"], seen["after"]
@@ -307,7 +320,7 @@ def main(argv=None) -> int:
             undeclared += [f"{name}/{file}" for file, v in verdicts.items() if v == "moved"]
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report["layers"]), json.dumps(report["end_to_end"]),
-          json.dumps(report["verdicts"]), sep="\n")
+          json.dumps(report["aa"]), json.dumps(report["verdicts"]), sep="\n")
     if undeclared:
         print("moved under an unchanged artifact_version:", ", ".join(undeclared), file=sys.stderr)
     return 1 if undeclared else 0

@@ -28,7 +28,7 @@ from .analysis import (
     coherence_histogram,
     type1_error_probability,
 )
-from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream, check_step_size
+from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream
 from .core import experiment_stream
 from .objectives import (
     FAMILIES,
@@ -115,7 +115,7 @@ def _options(*decorators):
 # Each option below is shared by several commands; click.option builds a
 # fresh Option every time its decorator is applied.
 etas_option = click.option("--etas", callback=_parse_floats, default="1e-5,1e-4,1e-3,1e-2,1e-1", show_default=True, help="Comma-separated initial step sizes.")
-epochs_option = click.option("--epochs", type=int, default=100, show_default=True)
+epochs_option = click.option("--epochs", type=click.IntRange(min=0), default=100, show_default=True)
 start_option = click.option("--start", type=click.Choice(START_POINTS), default="reversed", show_default=True)
 l_option = click.option("--l", type=int, default=50, show_default=True)
 t1_option = click.option("--t1-epochs", type=int, default=4, show_default=True)
@@ -189,30 +189,30 @@ def cli():
 # ----------------------------------------------------------------- compare
 
 
-def _cell(problem, epochs, t1, method, eta, split_cfg, theta0, rng) -> float:
-    """Final log loss of one run of ``method``, inf if it diverged.  The
-    drivers are read as module globals at call time, so wrappers set on them apply."""
+def _cell(problem, epochs, method, cfg, theta0, rng) -> float:
+    """Final log loss of one run of ``method`` under ``cfg``, inf if it diverged.
+    The drivers are read as module globals at call time, so wrappers set on them apply."""
     try:
         if method == "splitsgd":
-            trace = run_splitsgd(problem, split_cfg, theta0, rng, epochs)
+            trace = run_splitsgd(problem, cfg, theta0, rng, epochs)
         elif method == "const":
-            trace = run_constant_sgd(problem, eta, theta0, rng, epochs)
+            trace = run_constant_sgd(problem, cfg.eta, theta0, rng, epochs)
         elif method == "sqrt":
-            trace = run_sqrt_decay_sgd(problem, eta, theta0, rng, epochs)
+            trace = run_sqrt_decay_sgd(problem, cfg.eta, theta0, rng, epochs)
         else:
-            trace = run_sgd_half(problem, eta, t1, theta0, rng, epochs)
+            trace = run_sgd_half(problem, cfg.eta, cfg.t1, theta0, rng, epochs)
     except DivergenceError:
         return math.inf
     return final_log_loss(trace)
 
 
-def _grid(problem, seed, start, seeds, epochs, t1, cells, threads):
+def _grid(problem, seed, start, seeds, epochs, cells, threads):
     """Sorted ``(*key, s, final log loss)`` rows of each cell ``(key, method,
-    eta, split_cfg)`` run from replication s < seeds, whose start and main
-    stream are built once; ``threads`` above 1 runs them on a worker pool."""
+    cfg)`` run from replication s < seeds, whose start and main stream are
+    built once; ``threads`` above 1 runs them on a worker pool."""
     thetas, mains = replication_starts(problem.spec, start, experiment_stream(seed), range(seeds))
     runs = [(cell, s) for cell in cells for s in range(seeds)]
-    jobs = [(problem, epochs, t1, *cell[1:], thetas[s], mains[s]) for cell, s in runs]
+    jobs = [(problem, epochs, *cell[1:], thetas[s], mains[s]) for cell, s in runs]
     if threads > 1 and len(jobs) > 1:
         # Imported here so a single-process run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -237,12 +237,9 @@ def compare(problem, noise_sd, seed, out, etas, epochs, seeds, methods, start, t
     """Final log loss per (method, step size, seed) after a fixed budget."""
     instance = _make_problem(problem, seed, noise_sd)
     t1 = t1_epochs * instance.spec.n
-    for eta in etas:
-        check_step_size(eta)
-    split_cfg = functools.partial(SplitSgdConfig, w=w, l=l, q=q, t1=t1, gamma=gamma)
-    cells = [((method, eta), method, eta, split_cfg(eta=eta) if method == "splitsgd" else None)
-             for method in methods for eta in etas]
-    rows = _grid(instance, seed, start, seeds, epochs, t1, cells, threads)
+    cfgs = [SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1, gamma=gamma) for eta in etas]
+    cells = [((method, cfg.eta), method, cfg) for method in methods for cfg in cfgs]
+    rows = _grid(instance, seed, start, seeds, epochs, cells, threads)
     write_csv(out, ["method", "eta", "seed", "final_log_loss"], rows)
     _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")
@@ -367,14 +364,13 @@ def sensitivity(problem, noise_sd, seed, out, w_values, q_values, etas, seeds, e
     n = instance.spec.n
     if any(w < 1 or n % w for w in w_values):
         raise click.UsageError(f"every w must be a positive divisor of n={n}, got {w_values}")
-    t1 = t1_epochs * n
     cells = [
-        ((w, q, eta), "splitsgd", eta, SplitSgdConfig(eta=eta, w=w, l=n // w, q=q, t1=t1, gamma=gamma))
+        ((w, q, eta), "splitsgd", SplitSgdConfig(eta=eta, w=w, l=n // w, q=q, t1=t1_epochs * n, gamma=gamma))
         for w in w_values
         for q in q_values
         for eta in etas
     ]
-    rows = _grid(instance, seed, start, seeds, epochs, t1, cells, threads)
+    rows = _grid(instance, seed, start, seeds, epochs, cells, threads)
     write_csv(out, ["w", "q", "eta", "seed", "final_log_loss"], rows)
     _sidecar()
     click.echo(f"wrote {len(rows)} rows to {out}")

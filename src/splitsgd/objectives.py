@@ -205,9 +205,12 @@ def start_point(spec: ProblemSpec, start: str) -> np.ndarray:
 
 
 def perturbed_start(base: np.ndarray, rng: RngStream, noise_sd: float = 0.1) -> np.ndarray:
-    """base + N(0, noise_sd^2 I) drawn from a dedicated stream."""
-    gen = rng.generator()
-    return base + noise_sd * gen.standard_normal(base.shape[0])
+    """base + N(0, noise_sd^2 I) drawn from a dedicated stream; it must be finite."""
+    with np.errstate(over="ignore"):
+        theta = base + noise_sd * rng.generator().standard_normal(base.shape[0])
+    if not np.isfinite(theta).all():
+        raise ValueError(f"start_noise_sd={noise_sd} gives a non-finite start")
+    return theta
 
 
 def replication_starts(spec: ProblemSpec, start: str, experiment: RngStream, reps,

@@ -526,6 +526,8 @@ class TestInputContract:
         ["sensitivity", "--seeds", "0"],
         ["mc", "--start-noise-sd", "-1"],
         ["mc", "--start-noise-sd", "nan"],
+        ["mc", "--start-noise-sd", "1e308", "--reps", "5", "--l", "2"],
+        ["mc", "--start-noise-sd", "inf", "--reps", "5", "--l", "2"],
         ["compare", "--noise-sd", "nan"],
         ["race", "--noise-sd", "nan"],
         ["mc", "--noise-sd", "nan"],
@@ -536,27 +538,44 @@ class TestInputContract:
         ["gen-data", "--seed", "-1"],
         ["mc", "--seed", str(2**64)],
     ], ids=" ".join)
-    def test_bad_value_is_usage_error(self, runner, tmp_path, args):
+    def test_bad_value_is_usage_error(self, runner, tmp_path, recwarn, args):
         out = tmp_path / "x.csv"
         result = runner.invoke(cli, args + ["--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
         assert not out.exists()
         assert not (tmp_path / "x.csv.meta").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("methods", ["splitsgd", "const,sqrt,half"])
-    def test_compare_rejects_every_eta_before_any_cell(self, runner, tmp_path, monkeypatch, methods):
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--methods", "splitsgd", "--etas", "1e-2,-1"], "eta must be >= 0",
+                     id="splitsgd"),
+        pytest.param(["--methods", "const,sqrt,half", "--etas", "1e-2,-1"], "eta must be >= 0",
+                     id="const,sqrt,half"),
+        # Options that no chosen method reads are checked all the same.
+        pytest.param(["--methods", "const,half", "--etas", "1e-2", "--epochs", "20", "--seeds", "3",
+                      "--t1-epochs", "0"], "t1 must be", id="const,half t1-epochs 0"),
+        pytest.param(["--methods", "const", "--etas", "1e-2", "--w", "0"], "w and l must be",
+                     id="const w 0"),
+        pytest.param(["--methods", "sqrt", "--etas", "1e-2", "--gamma", "1"], "gamma must lie",
+                     id="sqrt gamma 1"),
+        pytest.param(["--methods", "const", "--etas", "1e-2", "--epochs", "-1"], "--epochs",
+                     id="const epochs -1"),
+    ])
+    def test_compare_rejects_every_eta_before_any_cell(self, runner, tmp_path, monkeypatch, args,
+                                                       message):
         def driver(*args):
             raise AssertionError("a cell ran")
 
         for name in ("run_splitsgd", "run_constant_sgd", "run_sqrt_decay_sgd", "run_sgd_half"):
             monkeypatch.setattr(cli_module, name, driver)
         out = tmp_path / "x.csv"
-        result = runner.invoke(cli, ["compare", "--methods", methods, "--etas", "1e-2,-1",
-                                     "--epochs", "1", "--seeds", "1", "--out", str(out)])
+        result = runner.invoke(cli, ["compare", "--epochs", "1", "--seeds", "1", *args,
+                                     "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "eta must be >= 0" in result.output
+        assert message in result.output
         assert not out.exists()
+        assert not (tmp_path / "x.csv.meta").exists()
 
     def test_race_config_gamma_is_usage_error(self, runner, tmp_path):
         # Neither race detector decays its rate, so race takes no gamma.
