@@ -85,9 +85,9 @@ def as_param_vector(values, *, require_finite: bool = True) -> np.ndarray:
 
 
 def check_step_size(eta: float) -> None:
-    """Reject a negative or NaN step size (``ValueError``)."""
-    if not eta >= 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    """Reject a negative, infinite or NaN step size (``ValueError``)."""
+    if not (eta >= 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
 
 
 def _mix64(a: int, b: int) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_csv
 from .core import DATA_STREAM_CHILD, RngStream, _sigmoid_scalar, as_param_vector, replication_streams
 
 __all__ = [
@@ -225,14 +226,9 @@ def replication_starts(spec: ProblemSpec, start: str, experiment: RngStream, rep
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write the dataset as CSV with header x1..xd,y (debug interchange)."""
-    n, d = dataset.features.shape
-    header = [f"x{j}" for j in range(1, d + 1)] + ["y"]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(repr(float(dataset.targets[i])))
-            fh.write(",".join(row) + "\n")
+    d = dataset.features.shape[1]
+    write_csv(path, [f"x{j}" for j in range(1, d + 1)] + ["y"],
+              np.column_stack([dataset.features, dataset.targets]).tolist())
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -15,7 +15,7 @@ replications as rows of :func:`splitsgd.core.lockstep_steps`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,21 +52,17 @@ EVENT_HALVED = "lr-halved"
 
 
 @dataclass(frozen=True)
-class SplitSgdConfig:
-    """Schedule parameters: start rate eta, diagnostic shape (w, l, q),
-    diagnostic cap B, initial thread length t1 (in gradient steps) and decay
-    factor gamma."""
+class SplitSgdConfig(DiagnosticConfig):
+    """Schedule parameters: start rate eta and diagnostic shape (w, l, q),
+    as a :class:`DiagnosticConfig`, plus diagnostic cap B, initial thread
+    length t1 (in gradient steps) and decay factor gamma."""
 
-    eta: float
-    w: int = 20
-    l: int = 50
-    q: float = 0.4
     B: int = 1_000_000
     t1: int = 4000
     gamma: float = 0.5
 
     def __post_init__(self):
-        DiagnosticConfig(eta=self.eta, w=self.w, l=self.l, q=self.q)
+        super().__post_init__()
         if self.B < 0:
             raise ValueError("B must be >= 0")
         if self.t1 < 1:
@@ -142,14 +138,15 @@ def final_log_loss(trace: RunTrace) -> float:
 
 
 class _EpochLog:
-    """Budget counter plus per-epoch-boundary trace records.
+    """Budget counter, main-thread stepper and per-epoch-boundary trace records.
 
     ``budget`` is the run's length in budget units, ``charged`` counts
-    budget units, ``evals`` true gradient draws.  The ``pending`` event is
-    attached to the first record written at or after the event occurred.
+    budget units, ``evals`` true gradient draws.  Every record, the initial
+    one at ``theta`` included, carries the schedule's rate for the next draw
+    and the last event since the record before it.
     """
 
-    def __init__(self, problem: Problem, budget_epochs: int):
+    def __init__(self, problem: Problem, budget_epochs: int, theta: np.ndarray, eta: float):
         if budget_epochs < 0:
             raise ValueError(f"the epoch budget must be >= 0, got {budget_epochs}")
         self.dataset = problem.dataset
@@ -159,55 +156,41 @@ class _EpochLog:
         self.charged = 0
         self.evals = 0
         self.epoch = 0
-        self.current_eta = 0.0
-        self.pending = EVENT_NONE
-        self.records: list[TraceRecord] = []
+        self.eta, self.event = eta, EVENT_NONE
+        self.records = [TraceRecord(0, 0, eta, full_loss(self.dataset, self.family, theta))]
 
-    def steps_to_boundary(self) -> int:
-        return self.n - self.charged % self.n or self.n
-
-    def log_initial(self, theta: np.ndarray, eta: float) -> None:
-        self.current_eta = eta
-        self.records.append(
-            TraceRecord(0, 0, eta, full_loss(self.dataset, self.family, theta), EVENT_NONE)
-        )
-
-    def advance(self, units: int, evals: int, theta: np.ndarray) -> None:
+    def advance(self, units: int, evals: int, theta: np.ndarray, then=None) -> None:
+        """Charge ``units`` budget units and ``evals`` draws that left
+        ``theta``; ``then`` is the ``(rate, event)`` the schedule switches to
+        after them, which a record written at their end shows."""
         self.charged += units
         self.evals += evals
+        if then is not None:
+            self.eta, self.event = then
         while self.charged >= (self.epoch + 1) * self.n:
             self.epoch += 1
             loss = full_loss(self.dataset, self.family, theta)
-            self.records.append(
-                TraceRecord(self.epoch, self.evals, self.current_eta, loss, self.pending)
-            )
-            self.pending = EVENT_NONE
+            self.records.append(TraceRecord(self.epoch, self.evals, self.eta, loss, self.event))
+            self.event = EVENT_NONE
 
+    def run(self, theta: np.ndarray, eta, steps: int, gen: np.random.Generator, then=None) -> None:
+        """Run ``steps`` main-thread SGD updates of ``theta`` in place at rate
+        ``eta`` (one step size, or an array of one per step).
 
-def _run_segment(
-    theta: np.ndarray,
-    eta: float,
-    steps: int,
-    gen: np.random.Generator,
-    log: _EpochLog,
-    halve: bool = False,
-) -> None:
-    """Run ``steps`` main-thread SGD updates at fixed eta, in place.
+        Calls are cut at epoch boundaries so boundary records see the exact
+        boundary iterate; ``then`` (see :meth:`advance`) applies after the
+        last step.
+        """
+        while steps > 0:
+            k = min(steps, self.n - self.charged % self.n)
+            sgd_steps(self.dataset.features, self.dataset.targets, self.family, theta, eta, k, gen,
+                      first_step=self.evals)
+            steps -= k
+            eta = eta[k:] if isinstance(eta, np.ndarray) else eta
+            self.advance(k, k, theta, None if steps else then)
 
-    Calls are cut at epoch boundaries so boundary records see the exact
-    boundary iterate.  With ``halve`` the rate halves after the last step,
-    so a record written there carries the new rate and ``lr-halved``.
-    """
-    while steps > 0:
-        k = min(steps, log.steps_to_boundary())
-        sgd_steps(
-            log.dataset.features, log.dataset.targets, log.family, theta, eta, k, gen,
-            first_step=log.evals,
-        )
-        steps -= k
-        if halve and not steps:
-            log.current_eta, log.pending = eta / 2.0, EVENT_HALVED
-        log.advance(k, k, theta)
+    def trace(self, theta: np.ndarray, diagnostics=()) -> RunTrace:
+        return RunTrace(self.records, theta, self.evals, list(diagnostics))
 
 
 def sqrt_decay_schedule(eta: float, t):
@@ -229,19 +212,13 @@ def run_sqrt_decay_sgd(
     """SGD with the deterministic 1/sqrt(t) step-size decay."""
     check_step_size(eta)
     theta = as_param_vector(theta0).copy()
-    n = problem.spec.n
-    log = _EpochLog(problem, budget_epochs)
-    log.log_initial(theta, sqrt_decay_schedule(eta, 1))
-    gen = rng.generator()
+    log = _EpochLog(problem, budget_epochs, theta, sqrt_decay_schedule(eta, 1))
+    gen, n = rng.generator(), log.n
     for t in range(0, log.budget, n):
-        sgd_steps(
-            problem.dataset.features, problem.dataset.targets, problem.spec.family, theta,
-            sqrt_decay_schedule(eta, np.arange(t + 1, t + n + 1)), n, gen, first_step=t,
-        )
         # Each record carries the rate of the next draw (the last one's at the end).
-        log.current_eta = sqrt_decay_schedule(eta, min(t + n + 1, log.budget))
-        log.advance(n, n, theta)
-    return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
+        log.run(theta, sqrt_decay_schedule(eta, np.arange(t + 1, t + n + 1)), n, gen,
+                then=(sqrt_decay_schedule(eta, min(t + n + 1, log.budget)), EVENT_NONE))
+    return log.trace(theta)
 
 
 def run_sgd_half(
@@ -258,15 +235,15 @@ def run_sgd_half(
     if t1 < 1:
         raise ValueError("t1 must be a positive number of steps")
     theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, budget_epochs)
-    log.log_initial(theta, eta)
+    log = _EpochLog(problem, budget_epochs, theta, eta)
     gen = rng.generator()
     current_len = t1
     while log.charged < log.budget:
         steps = min(current_len, log.budget - log.charged)
-        _run_segment(theta, log.current_eta, steps, gen, log, log.charged + steps < log.budget)
+        then = (log.eta / 2.0, EVENT_HALVED) if log.charged + steps < log.budget else None
+        log.run(theta, log.eta, steps, gen, then)
         current_len *= 2
-    return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals)
+    return log.trace(theta)
 
 
 def run_splitsgd(
@@ -284,8 +261,7 @@ def run_splitsgd(
     run; the budget (in epochs) always governs the run length.
     """
     theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, budget_epochs)
-    log.log_initial(theta, cfg.eta)
+    log = _EpochLog(problem, budget_epochs, theta, cfg.eta)
     gen = rng.generator()
     state = ScheduleState(cfg.eta, cfg.t1)
     events: list[DiagnosticEvent] = []
@@ -293,27 +269,22 @@ def run_splitsgd(
     while log.charged < log.budget:
         remaining = log.budget - log.charged
         steps = remaining if len(events) >= cfg.B else min(state.current_thread_length, remaining)
-        _run_segment(theta, state.current_eta, steps, gen, log)
-        remaining = log.budget - log.charged
-        if remaining <= 0 or len(events) >= cfg.B or remaining < diag_cost:
-            # No room (or no budget) for another full diagnostic; the loop
-            # either exits or keeps threading to the end of the budget.
+        log.run(theta, state.current_eta, steps, gen)
+        if len(events) >= cfg.B or log.budget - log.charged < diag_cost:
+            # No room for another full diagnostic; the loop either exits or
+            # keeps threading to the end of the budget.
             continue
-        diag_cfg = DiagnosticConfig(eta=state.current_eta, w=cfg.w, l=cfg.l, q=cfg.q)
-        result = run_diagnostic(problem, theta, diag_cfg, diagnostic_stream(rng, len(events) + 1))
+        result = run_diagnostic(problem, theta, replace(cfg, eta=state.current_eta),
+                                diagnostic_stream(rng, len(events) + 1))
         theta = result.theta_d.copy()
         if result.stationary:
             state = state.after_detection(cfg.gamma)
-            log.pending = EVENT_DIAG_S
-        else:
-            log.pending = EVENT_DIAG_N
-        log.current_eta = state.current_eta
-        log.advance(diag_cost, 2 * diag_cost, theta)
+        log.advance(diag_cost, 2 * diag_cost, theta,
+                    (state.current_eta, EVENT_DIAG_S if result.stationary else EVENT_DIAG_N))
         events.append(
             DiagnosticEvent(len(events) + 1, result.stationary, result.negative_count, state)
         )
-    return RunTrace(records=log.records, final_theta=theta, total_evals=log.evals,
-                    diagnostics=events)
+    return log.trace(theta, events)
 
 
 def run_constant_sgd(
@@ -354,7 +325,6 @@ def run_split_detection(
     thetas = np.stack([as_param_vector(theta) for theta in thetas0])
     data, n, rows = problem.dataset, problem.spec.n, np.arange(len(rngs))
     gens = [rng.generator() for rng in rngs]
-    diag_cfg = DiagnosticConfig(eta=cfg.eta, w=cfg.w, l=cfg.l, q=cfg.q)
     budget, diag_cost, charged, diags = max_epochs * n, cfg.w * cfg.l, 0, 0
     detected: list[int | None] = [None] * len(gens)
     while charged < budget and gens:
@@ -366,12 +336,11 @@ def run_split_detection(
             row, step = int(rows[diverged[0]]), charged + diags * diag_cost + int(failed[diverged[0]])
             raise DivergenceError(f"iterate diverged at step {step}", step, row=row)
         charged += steps
-        remaining = budget - charged
-        if remaining <= 0 or diags >= cfg.B or remaining < diag_cost:
+        if diags >= cfg.B or budget - charged < diag_cost:
             continue
         diags += 1
         _, _, fired, _, thetas = _verdicts(*_two_thread_window_means(
-            problem, thetas, diag_cfg, [diagnostic_stream(rngs[row], diags) for row in rows]
+            problem, thetas, cfg, [diagnostic_stream(rngs[row], diags) for row in rows]
         ), cfg.q, rows.tolist())
         charged += diag_cost
         for row in rows[fired]:

@@ -7,7 +7,7 @@ but cover every stepping path: all four ``compare`` methods with a
 diagnostic (``--t1-epochs 1``) and a divergent rate on both families, the
 pflug detector and the split detector in ``race``, raw ``mc`` on both
 families and normalized ``mc`` (lockstep burn-in plus two-thread
-windows), one ``sensitivity`` cell and ``gen-data``.
+windows), one ``sensitivity`` cell and ``gen-data`` on both families.
 
 The pins hold under OpenBLAS's ``SkylakeX`` core, the one it picks on an
 AVX-512 x86-64 CPU (``OPENBLAS_VERBOSE=2`` prints it).  Margins go through
@@ -55,6 +55,7 @@ RUNS = {
         "--seeds", "1", "--epochs", "3", "--t1-epochs", "1", "--threads", "1",
     ],
     "gen-data": ["gen-data", "--n", "30", "--d", "3"],
+    "gen-data-logistic": ["gen-data", "--problem", "logistic", "--n", "30", "--d", "3"],
 }
 
 # (CSV, sidecar) digests for `--seed 0 --out out.csv`.
@@ -90,6 +91,10 @@ EXPECTED = {
     "gen-data": (
         "652c080881723819beb76e23d260e47ea0a2d936834889f84268d6912d0a2823",
         "c0e1646a6d24c754c3aee72e77f6f2f4065b8940a4d997c4b6543928e48991c4",
+    ),
+    "gen-data-logistic": (
+        "6ff69cdaaad759317c626d1292ad477f8db39e21e03b12aa6bc61da02d5e7da9",
+        "01e47cce4de04b2e27c222d0f4579b10f928235c3864b204c19751a9541462d8",
     ),
 }
 

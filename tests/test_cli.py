@@ -516,6 +516,11 @@ class TestInputContract:
         ["sensitivity", "--w-values", "0"],
         ["compare", "--epochs", "-1"],
         ["compare", "--etas", "nan"],
+        ["compare", "--etas", "inf", "--methods", "const", "--epochs", "1", "--seeds", "1"],
+        ["sensitivity", "--etas", "inf", "--w-values", "20", "--q-values", "0.4", "--seeds", "1",
+         "--epochs", "1"],
+        ["mc", "--eta", "inf", "--reps", "2", "--l", "2"],
+        ["race", "--eta", "inf", "--reps", "2", "--max-epochs", "2"],
         ["compare", "--seeds", "0"],
         ["compare", "--seeds", "-1"],
         ["race", "--reps", "0"],

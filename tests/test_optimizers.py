@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splitsgd.core import DivergenceError, RngStream, sgd_steps
+from splitsgd.diagnostic import DiagnosticConfig
 from splitsgd.objectives import (
     Dataset,
     Problem,
@@ -26,6 +27,7 @@ from splitsgd.optimizers import (
     ScheduleState,
     SplitSgdConfig,
     TraceRecord,
+    _EpochLog,
     final_log_loss,
     run_constant_sgd,
     run_pflug_detection,
@@ -134,6 +136,23 @@ class TestSplitSgd:
         assert all(b <= a for a, b in zip(rates, rates[1:]))
         assert rates[0] == 1e-2
 
+    def test_verdicts_show_on_the_first_record_at_or_after_each_diagnostic(
+        self, small_linear_problem
+    ):
+        # q = 0 makes every diagnostic stationary.  With 60-step epochs,
+        # threads of 45, 90 and 180 steps and 15-step diagnostics, the
+        # diagnostics end at step 60 (an epoch boundary), 165 (inside epoch
+        # 3) and 360 (a boundary); the last thread runs to the budget.
+        cfg = SplitSgdConfig(eta=1e-2, w=3, l=5, q=0.0, t1=45, gamma=0.5)
+        trace = run_splitsgd(small_linear_problem, cfg, np.zeros(4), RngStream(3), 10)
+        assert [event.state.current_eta for event in trace.diagnostics] == [5e-3, 2.5e-3, 1.25e-3]
+        shown = {r.epoch: (r.learning_rate, r.event) for r in trace.records if r.event != EVENT_NONE}
+        assert shown == {1: (5e-3, EVENT_DIAG_S), 3: (2.5e-3, EVENT_DIAG_S),
+                         6: (1.25e-3, EVENT_DIAG_S)}
+        assert [r.learning_rate for r in trace.records] == (
+            [1e-2, 5e-3, 5e-3] + [2.5e-3] * 3 + [1.25e-3] * 5
+        )
+
     def test_stationarity_events_recorded_in_trace(self, linear_problem):
         cfg = SplitSgdConfig(eta=1e-2, t1=4000)
         trace = run_splitsgd(linear_problem, cfg, _start(linear_problem, 3), RngStream(3), 10)
@@ -175,6 +194,12 @@ class TestSplitSgd:
             SplitSgdConfig(eta=1e-2, t1=0)
         with pytest.raises(ValueError):
             SplitSgdConfig(eta=1e-2, B=-1)
+        # The diagnostic's fields are checked once, by DiagnosticConfig.
+        for bad in ({"eta": -1.0}, {"eta": math.nan}, {"eta": math.inf}, {"w": 0}, {"l": 0},
+                    {"q": 1.5}):
+            with pytest.raises(ValueError):
+                SplitSgdConfig(**{"eta": 1e-2, **bad})
+        assert isinstance(SplitSgdConfig(eta=1e-2), DiagnosticConfig)
 
 
 class TestConstantSgd:
@@ -244,10 +269,33 @@ class TestSqrtDecay:
         assert all(b < a for a, b in zip(steps, steps[1:]))
 
     def test_trace_rates_decrease(self, small_linear_problem):
+        # Each record carries the rate of the next draw; the last one, at
+        # the end of the budget, keeps the last draw's.
+        n, budget = small_linear_problem.spec.n, 6 * small_linear_problem.spec.n
         trace = run_sqrt_decay_sgd(small_linear_problem, 1e-3, np.ones(4), RngStream(2), 6)
         rates = [record.learning_rate for record in trace.records]
         assert rates[0] == 20.0 * 1e-3
         assert all(b < a for a, b in zip(rates, rates[1:]))
+        assert [r.epoch for r in trace.records] == list(range(7))
+        for record in trace.records:
+            assert record.learning_rate == sqrt_decay_schedule(1e-3, min(record.epoch * n + 1, budget))
+
+
+class TestEpochLog:
+    def test_per_step_rates_carry_across_a_cut(self, small_linear_problem):
+        # A run that starts inside an epoch is cut at the boundary; its
+        # second piece must take up the rates where the first left off.
+        data, n = small_linear_problem.dataset, small_linear_problem.spec.n
+        rates = sqrt_decay_schedule(1e-3, np.arange(1, n + 1))
+        log = _EpochLog(small_linear_problem, 2, np.ones(4), 1e-3)
+        theta, gen = np.ones(4), RngStream(5).generator()
+        log.run(theta, 1e-3, n // 2, gen)
+        log.run(theta, rates, n, gen)
+        expected, gen = np.ones(4), RngStream(5).generator()
+        sgd_steps(data.features, data.targets, "linear", expected, 1e-3, n // 2, gen)
+        sgd_steps(data.features, data.targets, "linear", expected, rates, n, gen, first_step=n // 2)
+        assert np.array_equal(theta, expected)
+        assert [r.epoch for r in log.records] == [0, 1]
 
 
 class TestSgdHalf:
