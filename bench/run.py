@@ -1,6 +1,7 @@
 """Before/after benchmark of two splitsgd source trees on one machine.
 
     python3 bench/run.py --before OLD/src --after src --pairs 10 --out BENCH_N.json
+    python3 bench/run.py ... --readme-pairs 1    # adds the README-size rows
 
 Run from the root of a checkout.  For each tree it records:
 
@@ -28,6 +29,9 @@ Run from the root of a checkout.  For each tree it records:
   ``sensitivity`` grid (2 window counts x 2 step sizes x 2 seeds, 10
   epochs), measured by ``perfbench/child.py`` exactly as the benchmark
   measures them;
+* with ``--readme-pairs N`` (default 0), the same end-to-end rows, over
+  N pairs, of the README "Reproducing" ``compare`` and ``sensitivity``
+  runs at their default sizes in one process (``README_COMMANDS``);
 * ``src_lines``: the lines of the ``*.py`` files under the tree's
   ``splitsgd`` package;
 * the SHA-256 of every CSV and sidecar those commands write (seed 0), the
@@ -87,6 +91,14 @@ COMMANDS = {
         "sensitivity", "--w-values", "10,20", "--q-values", "0.4", "--etas", "1e-3,1e-2",
         "--seeds", "2", "--epochs", "10", "--threads", "1",
     ],
+}
+
+# The README "Reproducing" runs at their default sizes: opt-in, as each
+# takes a minute or two.  Their compare runs 100 cells per method (5 step
+# sizes x 20 seeds), the benchmark's 6.
+README_COMMANDS = {
+    "compare-readme": ["compare", "--threads", "1"],
+    "sensitivity-readme": ["sensitivity", "--threads", "1"],
 }
 
 
@@ -237,7 +249,7 @@ def src_lines(src: Path) -> int:
 
 
 def _spread(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4)
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -264,6 +276,7 @@ def main(argv=None) -> int:
     parser.add_argument("--before", type=Path, required=True)
     parser.add_argument("--after", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--readme-pairs", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=25)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -279,10 +292,10 @@ def main(argv=None) -> int:
         sides = {"before": copies[0], "after": copies[1]}
         runs = itertools.count()
 
-        def timed(sides, name, command):
+        def timed(sides, name, command, pairs=args.pairs):
             """Per-side metrics of alternating executions, and their digests."""
             samples, artifacts = {side: [] for side in sides}, {}
-            for side, src in _alternate(sides, args.pairs):
+            for side, src in _alternate(sides, pairs):
                 metrics, digests = execute(src, command, Path(tmp) / str(next(runs)))
                 samples[side].append(metrics)
                 if artifacts.setdefault(side, digests) != digests:
@@ -298,6 +311,7 @@ def main(argv=None) -> int:
                         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
                         "openblas_core": openblas_core(sides["after"])},
             "pairs": args.pairs,
+            "readme_pairs": args.readme_pairs,
             "src_lines": {side: src_lines(src) for side, src in sides.items()},
             "layers": _paired(layer_samples),
             "end_to_end": {},
@@ -307,6 +321,10 @@ def main(argv=None) -> int:
         commands = _commands()
         for name, command in commands.items():
             report["end_to_end"][name], report["artifacts"][name] = timed(sides, name, command)
+        if args.readme_pairs:
+            for name, command in README_COMMANDS.items():
+                report["end_to_end"][name], report["artifacts"][name] = timed(
+                    sides, name, command, args.readme_pairs)
         twins = {"before": copies[0], "after": copies[2]}
         for name in ("compare", "mc-stationary"):
             report["aa"][name] = timed(twins, name, commands[name])[0]

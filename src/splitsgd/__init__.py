@@ -20,55 +20,20 @@ bit for bit on one machine (across machines, see README "Determinism and
 seeding": margins go through the OpenBLAS kernel picked for the CPU).
 """
 
-from .core import DimensionError, DivergenceError, NumericError, RngStream
-from .diagnostic import DiagnosticConfig, DiagnosticResult, decide, run_diagnostic
-from .objectives import (
-    Dataset,
-    Problem,
-    ProblemSpec,
-    build_problem,
-    make_default_spec,
-    perturbed_start,
-    reversed_start,
-)
-from .optimizers import (
-    RunTrace,
-    SplitSgdConfig,
-    final_log_loss,
-    run_constant_sgd,
-    run_pflug_detection,
-    run_sgd_half,
-    run_split_detection,
-    run_splitsgd,
-    run_sqrt_decay_sgd,
-)
+from .core import RngStream
+from .objectives import build_problem, make_default_spec, reversed_start
+from .optimizers import SplitSgdConfig, run_splitsgd
 
 __version__ = "0.5.0"
 
+# The names of the README "Core API sketch"; everything else is imported
+# from its own module.
 __all__ = [
-    "DimensionError",
-    "DivergenceError",
-    "NumericError",
     "RngStream",
-    "DiagnosticConfig",
-    "DiagnosticResult",
-    "decide",
-    "run_diagnostic",
-    "Dataset",
-    "Problem",
-    "ProblemSpec",
+    "SplitSgdConfig",
     "build_problem",
     "make_default_spec",
-    "perturbed_start",
     "reversed_start",
-    "RunTrace",
-    "SplitSgdConfig",
-    "final_log_loss",
-    "run_constant_sgd",
-    "run_pflug_detection",
-    "run_sgd_half",
-    "run_split_detection",
     "run_splitsgd",
-    "run_sqrt_decay_sgd",
     "__version__",
 ]

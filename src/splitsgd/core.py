@@ -50,10 +50,6 @@ _MASK64 = (1 << 64) - 1
 class NumericError(RuntimeError):
     """A quantity that must be finite is not (inf or NaN)."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 class DivergenceError(NumericError):
     """An optimizer iterate left the finite range.
@@ -65,7 +61,8 @@ class DivergenceError(NumericError):
 
     def __init__(self, message: str, step: int | None = None, thread: int | None = None,
                  row: int | None = None):
-        super().__init__(message, step=step)
+        super().__init__(message)
+        self.step = step
         self.thread = thread
         self.row = row
 

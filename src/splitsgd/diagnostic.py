@@ -153,7 +153,7 @@ def run_diagnostic(
     problem: Problem,
     theta_in: np.ndarray,
     cfg: DiagnosticConfig,
-    rng: RngStream = RngStream(0),
+    rng: RngStream,
 ) -> DiagnosticResult:
     """Run the two-thread diagnostic from theta_in: a one-row
     :func:`_verdicts` call, which also names any divergence.

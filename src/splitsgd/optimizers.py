@@ -138,15 +138,19 @@ def final_log_loss(trace: RunTrace) -> float:
 
 
 class _EpochLog:
-    """Budget counter, main-thread stepper and per-epoch-boundary trace records.
+    """One run's main thread, budget counter and per-epoch-boundary records.
 
-    ``budget`` is the run's length in budget units, ``charged`` counts
-    budget units, ``evals`` true gradient draws.  Every record, the initial
-    one at ``theta`` included, carries the schedule's rate for the next draw
-    and the last event since the record before it.
+    ``theta`` is the main-thread iterate (a copy of the start), ``gen`` the
+    main generator of ``rng``.  ``budget`` is the run's length in budget
+    units, ``charged`` counts budget units, ``evals`` true gradient draws.
+    Every record, the initial one at the start included, carries the
+    schedule's rate for the next draw and the schedule changes made since
+    the record before it, joined by ``;`` (``none`` if there were none).
     """
 
-    def __init__(self, problem: Problem, budget_epochs: int, theta: np.ndarray, eta: float):
+    def __init__(self, problem: Problem, budget_epochs: int, theta0: np.ndarray, rng: RngStream,
+                 eta: float):
+        self.theta = as_param_vector(theta0).copy()
         if budget_epochs < 0:
             raise ValueError(f"the epoch budget must be >= 0, got {budget_epochs}")
         self.dataset = problem.dataset
@@ -156,24 +160,27 @@ class _EpochLog:
         self.charged = 0
         self.evals = 0
         self.epoch = 0
-        self.eta, self.event = eta, EVENT_NONE
-        self.records = [TraceRecord(0, 0, eta, full_loss(self.dataset, self.family, theta))]
+        self.eta, self.events = eta, []
+        self.records = [TraceRecord(0, 0, eta, full_loss(self.dataset, self.family, self.theta))]
+        self.gen = rng.generator()
 
-    def advance(self, units: int, evals: int, theta: np.ndarray, then=None) -> None:
+    def advance(self, units: int, evals: int, then=None) -> None:
         """Charge ``units`` budget units and ``evals`` draws that left
         ``theta``; ``then`` is the ``(rate, event)`` the schedule switches to
         after them, which a record written at their end shows."""
         self.charged += units
         self.evals += evals
         if then is not None:
-            self.eta, self.event = then
+            self.eta, event = then
+            self.events.append(event)
         while self.charged >= (self.epoch + 1) * self.n:
             self.epoch += 1
-            loss = full_loss(self.dataset, self.family, theta)
-            self.records.append(TraceRecord(self.epoch, self.evals, self.eta, loss, self.event))
-            self.event = EVENT_NONE
+            loss = full_loss(self.dataset, self.family, self.theta)
+            event = ";".join(e for e in self.events if e != EVENT_NONE) or EVENT_NONE
+            self.records.append(TraceRecord(self.epoch, self.evals, self.eta, loss, event))
+            self.events = []
 
-    def run(self, theta: np.ndarray, eta, steps: int, gen: np.random.Generator, then=None) -> None:
+    def run(self, eta, steps: int, then=None) -> None:
         """Run ``steps`` main-thread SGD updates of ``theta`` in place at rate
         ``eta`` (one step size, or an array of one per step).
 
@@ -183,14 +190,14 @@ class _EpochLog:
         """
         while steps > 0:
             k = min(steps, self.n - self.charged % self.n)
-            sgd_steps(self.dataset.features, self.dataset.targets, self.family, theta, eta, k, gen,
-                      first_step=self.evals)
+            sgd_steps(self.dataset.features, self.dataset.targets, self.family, self.theta, eta, k,
+                      self.gen, first_step=self.evals)
             steps -= k
             eta = eta[k:] if isinstance(eta, np.ndarray) else eta
-            self.advance(k, k, theta, None if steps else then)
+            self.advance(k, k, None if steps else then)
 
-    def trace(self, theta: np.ndarray, diagnostics=()) -> RunTrace:
-        return RunTrace(self.records, theta, self.evals, list(diagnostics))
+    def trace(self, diagnostics=()) -> RunTrace:
+        return RunTrace(self.records, self.theta, self.evals, list(diagnostics))
 
 
 def sqrt_decay_schedule(eta: float, t):
@@ -211,14 +218,13 @@ def run_sqrt_decay_sgd(
 ) -> RunTrace:
     """SGD with the deterministic 1/sqrt(t) step-size decay."""
     check_step_size(eta)
-    theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, budget_epochs, theta, sqrt_decay_schedule(eta, 1))
-    gen, n = rng.generator(), log.n
+    log = _EpochLog(problem, budget_epochs, theta0, rng, sqrt_decay_schedule(eta, 1))
+    n = log.n
     for t in range(0, log.budget, n):
         # Each record carries the rate of the next draw (the last one's at the end).
-        log.run(theta, sqrt_decay_schedule(eta, np.arange(t + 1, t + n + 1)), n, gen,
+        log.run(sqrt_decay_schedule(eta, np.arange(t + 1, t + n + 1)), n,
                 then=(sqrt_decay_schedule(eta, min(t + n + 1, log.budget)), EVENT_NONE))
-    return log.trace(theta)
+    return log.trace()
 
 
 def run_sgd_half(
@@ -234,16 +240,14 @@ def run_sgd_half(
     check_step_size(eta)
     if t1 < 1:
         raise ValueError("t1 must be a positive number of steps")
-    theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, budget_epochs, theta, eta)
-    gen = rng.generator()
+    log = _EpochLog(problem, budget_epochs, theta0, rng, eta)
     current_len = t1
     while log.charged < log.budget:
         steps = min(current_len, log.budget - log.charged)
         then = (log.eta / 2.0, EVENT_HALVED) if log.charged + steps < log.budget else None
-        log.run(theta, log.eta, steps, gen, then)
+        log.run(log.eta, steps, then)
         current_len *= 2
-    return log.trace(theta)
+    return log.trace()
 
 
 def run_splitsgd(
@@ -260,31 +264,29 @@ def run_splitsgd(
     midpoint of the two diagnostic threads.  At most cfg.B diagnostics are
     run; the budget (in epochs) always governs the run length.
     """
-    theta = as_param_vector(theta0).copy()
-    log = _EpochLog(problem, budget_epochs, theta, cfg.eta)
-    gen = rng.generator()
+    log = _EpochLog(problem, budget_epochs, theta0, rng, cfg.eta)
     state = ScheduleState(cfg.eta, cfg.t1)
     events: list[DiagnosticEvent] = []
     diag_cost = cfg.w * cfg.l
     while log.charged < log.budget:
         remaining = log.budget - log.charged
         steps = remaining if len(events) >= cfg.B else min(state.current_thread_length, remaining)
-        log.run(theta, state.current_eta, steps, gen)
+        log.run(state.current_eta, steps)
         if len(events) >= cfg.B or log.budget - log.charged < diag_cost:
             # No room for another full diagnostic; the loop either exits or
             # keeps threading to the end of the budget.
             continue
-        result = run_diagnostic(problem, theta, replace(cfg, eta=state.current_eta),
+        result = run_diagnostic(problem, log.theta, replace(cfg, eta=state.current_eta),
                                 diagnostic_stream(rng, len(events) + 1))
-        theta = result.theta_d.copy()
+        log.theta = result.theta_d.copy()
         if result.stationary:
             state = state.after_detection(cfg.gamma)
-        log.advance(diag_cost, 2 * diag_cost, theta,
+        log.advance(diag_cost, 2 * diag_cost,
                     (state.current_eta, EVENT_DIAG_S if result.stationary else EVENT_DIAG_N))
         events.append(
             DiagnosticEvent(len(events) + 1, result.stationary, result.negative_count, state)
         )
-    return log.trace(theta, events)
+    return log.trace(events)
 
 
 def run_constant_sgd(
@@ -304,7 +306,7 @@ def run_split_detection(
     cfg: SplitSgdConfig,
     thetas0,
     rngs: list[RngStream],
-    max_epochs: int = 1000,
+    max_epochs: int,
 ) -> list[int | None]:
     """SplitSGD from every start in ``thetas0`` (start r drawing from
     ``rngs[r]``) until its first stationary verdict; reports per run the
@@ -355,7 +357,7 @@ def run_pflug_detection(
     eta: float,
     thetas0,
     rngs: list[RngStream],
-    max_epochs: int = 1000,
+    max_epochs: int,
 ) -> list[int | None]:
     """Constant-rate SGD from every start in ``thetas0`` (start r drawing
     from ``rngs[r]``) with each run's sum of consecutive-gradient inner

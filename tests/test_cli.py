@@ -343,7 +343,7 @@ class TestRace:
             start, main_stream = _layout_streams(0, rep)
             theta0 = perturbed_start(problem.spec.theta_star, start)
             trace = run_splitsgd(problem, cfg, theta0, main_stream, 30)
-            epoch = next((r.epoch for r in trace.records if r.event == EVENT_DIAG_S), None)
+            epoch = next((r.epoch for r in trace.records if EVENT_DIAG_S in r.event.split(";")), None)
             expected.append([str(rep), "split", str(epoch or 30), "1" if epoch is None else "0"])
         assert [row for row in _rows(out)[1] if row[1] == "split"] == expected
 
@@ -542,6 +542,7 @@ class TestInputContract:
         ["gen-data", "--noise-sd", "1e308"],
         ["gen-data", "--seed", "-1"],
         ["mc", "--seed", str(2**64)],
+        ["sensitivity", "--w-values", "10.5"],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, runner, tmp_path, recwarn, args):
         out = tmp_path / "x.csv"

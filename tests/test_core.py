@@ -228,6 +228,12 @@ def _blow_up_problem():
 
 
 class TestLockstepWindows:
+    def test_dimension_mismatch(self):
+        features, targets = _data(15, d=3)
+        with pytest.raises(DimensionError):
+            lockstep_steps(features, targets, "linear", np.zeros((2, 4)), 0.1, 1,
+                           [RngStream(r).generator() for r in range(2)])
+
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("rows", [1, 2, 5])
     @pytest.mark.parametrize("eta", [0.0, 1e-2])

@@ -215,6 +215,10 @@ class TestStartingPoints:
         assert np.array_equal(a, b)
         assert np.linalg.norm(a - base) < 0.1 * math.sqrt(20) * 3
 
+    def test_unknown_start_point_rejected(self):
+        with pytest.raises(ValueError, match="start must be one of"):
+            start_point(make_default_spec("linear"), "middle")
+
     @pytest.mark.parametrize("start", ["reversed", "near-opt"])
     def test_replication_starts_follow_the_stream_layout(self, start):
         # Row i is replication reps[i]'s perturbed start, drawn from its
@@ -244,3 +248,9 @@ class TestDatasetCsv:
         write_dataset_csv(small_linear_problem.dataset, path)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,x3,x4,y"
+
+    def test_header_without_target_column_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,x2,target\n1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match="unexpected dataset header"):
+            read_dataset_csv(path)

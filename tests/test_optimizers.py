@@ -156,10 +156,20 @@ class TestSplitSgd:
     def test_stationarity_events_recorded_in_trace(self, linear_problem):
         cfg = SplitSgdConfig(eta=1e-2, t1=4000)
         trace = run_splitsgd(linear_problem, cfg, _start(linear_problem, 3), RngStream(3), 10)
-        events = {record.event for record in trace.records}
-        assert events <= {EVENT_NONE, EVENT_DIAG_S, EVENT_DIAG_N}
-        stationary_events = sum(1 for r in trace.records if r.event == EVENT_DIAG_S)
-        assert stationary_events == sum(1 for e in trace.diagnostics if e.stationary)
+        tokens = [event for record in trace.records for event in record.event.split(";")]
+        assert set(tokens) <= {EVENT_NONE, EVENT_DIAG_S, EVENT_DIAG_N}
+        assert tokens.count(EVENT_DIAG_S) == sum(1 for e in trace.diagnostics if e.stationary)
+
+    def test_a_record_names_every_verdict_since_the_record_before(self, linear_problem):
+        # Short threads and diagnostics: an N and an S end inside epoch 1 and
+        # two S inside epoch 2, so those records each name two verdicts.
+        cfg = SplitSgdConfig(eta=1e-2, w=5, l=20, q=0.4, t1=200)
+        trace = run_splitsgd(linear_problem, cfg, np.zeros(20), RngStream(1), 10)
+        shown = {r.epoch: r.event for r in trace.records if r.event != EVENT_NONE}
+        assert shown == {1: f"{EVENT_DIAG_N};{EVENT_DIAG_S}", 2: f"{EVENT_DIAG_S};{EVENT_DIAG_S}",
+                         4: EVENT_DIAG_S, 7: EVENT_DIAG_S}
+        verdicts = [EVENT_DIAG_S if d.stationary else EVENT_DIAG_N for d in trace.diagnostics]
+        assert ";".join(shown.values()).split(";") == verdicts
 
     def test_impossible_threshold_keeps_rate_constant(self, small_linear_problem):
         # q = 1 requires every window negative; with continuous noise that
@@ -287,15 +297,21 @@ class TestEpochLog:
         # second piece must take up the rates where the first left off.
         data, n = small_linear_problem.dataset, small_linear_problem.spec.n
         rates = sqrt_decay_schedule(1e-3, np.arange(1, n + 1))
-        log = _EpochLog(small_linear_problem, 2, np.ones(4), 1e-3)
-        theta, gen = np.ones(4), RngStream(5).generator()
-        log.run(theta, 1e-3, n // 2, gen)
-        log.run(theta, rates, n, gen)
+        start = np.ones(4)
+        log = _EpochLog(small_linear_problem, 2, start, RngStream(5), 1e-3)
+        log.run(1e-3, n // 2)
+        log.run(rates, n)
         expected, gen = np.ones(4), RngStream(5).generator()
         sgd_steps(data.features, data.targets, "linear", expected, 1e-3, n // 2, gen)
         sgd_steps(data.features, data.targets, "linear", expected, rates, n, gen, first_step=n // 2)
-        assert np.array_equal(theta, expected)
+        assert np.array_equal(log.theta, expected)
+        assert np.array_equal(start, np.ones(4))
         assert [r.epoch for r in log.records] == [0, 1]
+
+    @pytest.mark.parametrize("run", [run_constant_sgd, run_sqrt_decay_sgd])
+    def test_negative_budget_rejected(self, small_linear_problem, run):
+        with pytest.raises(ValueError, match="epoch budget must be >= 0"):
+            run(small_linear_problem, 1e-3, np.zeros(4), RngStream(0), -1)
 
 
 class TestSgdHalf:
@@ -327,6 +343,10 @@ class TestSgdHalf:
         assert [(r.learning_rate, r.event) for r in trace.records] == [
             (1e-2, EVENT_NONE), (5e-3, EVENT_HALVED), (2.5e-3, EVENT_HALVED),
         ]
+
+    def test_empty_first_thread_rejected(self, small_linear_problem):
+        with pytest.raises(ValueError, match="t1 must be"):
+            run_sgd_half(small_linear_problem, 1e-2, 0, np.ones(4), RngStream(3), 2)
 
     def test_rate_after_k_threads(self, small_linear_problem):
         trace = run_sgd_half(small_linear_problem, 0.8, 60, np.ones(4), RngStream(4), 31)
