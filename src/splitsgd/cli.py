@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -61,23 +62,34 @@ def _load_config(ctx: click.Context, param: click.Parameter, value):
         return None
     keys = {p.name for p in ctx.command.params if isinstance(p, click.Option) and p.expose_value}
     entries = {}
-    with open(value, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"{value}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            name = key.strip().replace("-", "_")
-            if name not in keys:
-                raise click.UsageError(
-                    f"{value}:{lineno}: unknown key {key.strip()!r}; expected one of "
-                    f"{', '.join(sorted(keys))}"
-                )
-            entries[name] = val.strip()
+    try:
+        with open(value, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise click.UsageError(f"{value}: not UTF-8 text ({err})")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"{value}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        name = key.strip().replace("-", "_")
+        if name not in keys:
+            raise click.UsageError(
+                f"{value}:{lineno}: unknown key {key.strip()!r}; expected one of "
+                f"{', '.join(sorted(keys))}"
+            )
+        entries[name] = val.strip()
     ctx.default_map = {**(ctx.default_map or {}), **entries}
     return None
+
+
+def _check_out(ctx, param, value):
+    """Reject, before any run, an --out that names no file in an existing directory."""
+    if value is not None and not (os.path.basename(value) and os.path.isdir(os.path.dirname(value) or ".")):
+        raise click.BadParameter(f"{value!r} is not a file in an existing directory", ctx, param)
+    return value
 
 
 def _parse_floats(ctx, param, value) -> tuple[float, ...]:
@@ -132,7 +144,7 @@ run_options = _options(
     click.option("--problem", type=click.Choice(FAMILIES), default="linear", show_default=True),
     click.option("--noise-sd", type=float, default=1.0, show_default=True),
     click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True),
-    click.option("--out", type=click.Path(dir_okay=False), required=True),
+    click.option("--out", type=click.Path(dir_okay=False), required=True, callback=_check_out),
 )
 
 
@@ -192,15 +204,10 @@ def cli():
 def _cell(problem, epochs, method, cfg, theta0, rng) -> float:
     """Final log loss of one run of ``method`` under ``cfg``, inf if it diverged.
     The drivers are read as module globals at call time, so wrappers set on them apply."""
+    drivers = {"splitsgd": run_splitsgd, "const": run_constant_sgd, "sqrt": run_sqrt_decay_sgd,
+               "half": run_sgd_half}
     try:
-        if method == "splitsgd":
-            trace = run_splitsgd(problem, cfg, theta0, rng, epochs)
-        elif method == "const":
-            trace = run_constant_sgd(problem, cfg.eta, theta0, rng, epochs)
-        elif method == "sqrt":
-            trace = run_sqrt_decay_sgd(problem, cfg.eta, theta0, rng, epochs)
-        else:
-            trace = run_sgd_half(problem, cfg.eta, cfg.t1, theta0, rng, epochs)
+        trace = drivers[method](problem, cfg, theta0, rng, epochs)
     except DivergenceError:
         return math.inf
     return final_log_loss(trace)
@@ -270,19 +277,15 @@ def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, 
     instance = _make_problem(problem, seed, noise_sd)
     cfg = SplitSgdConfig(eta=eta, w=w, l=l, q=q, t1=t1_epochs * instance.spec.n)
     starts, rngs = replication_starts(instance.spec, start, experiment_stream(seed), range(reps))
-    detector = "split"
-    try:
-        split = run_split_detection(instance, cfg, starts, rngs, max_epochs)
-        detector = "pflug"
-        pflug = run_pflug_detection(instance, cfg.eta, starts, rngs, max_epochs)
-    except DivergenceError as err:
-        message = f"replication {err.row}, {detector} detector: {err}"
-        raise DivergenceError(message, err.step, err.thread, err.row)
-    rows = []
-    for rep, (split_epoch, pflug_epoch) in enumerate(zip(split, pflug)):
-        for method, epoch in (("pflug", pflug_epoch), ("split", split_epoch)):
-            capped = epoch is None
-            rows.append((rep, method, max_epochs if capped else epoch, capped))
+    detected = {}
+    for name, detector in (("split", run_split_detection), ("pflug", run_pflug_detection)):
+        try:
+            detected[name] = detector(instance, cfg, starts, rngs, max_epochs)
+        except DivergenceError as err:
+            message = f"replication {err.row}, {name} detector: {err}"
+            raise DivergenceError(message, err.step, err.thread, err.row)
+    rows = sorted((rep, name, max_epochs if epoch is None else epoch, epoch is None)
+                  for name, epochs in detected.items() for rep, epoch in enumerate(epochs))
     write_csv(out, ["rep", "method", "detection_epoch", "capped"], rows)
     _sidecar(eta=eta)
     click.echo(f"wrote {len(rows)} rows to {out}")
@@ -333,7 +336,7 @@ def mc(problem, noise_sd, seed, out, eta, burn_in_epochs, reps, window_index, l,
 @cli.command()
 @click.option("--w", type=int, required=True, help="Number of windows.")
 @click.option("--q", type=float, required=True, help="Verdict threshold fraction.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Optionally also write the value to a file.")
+@click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_check_out, help="Optionally also write the value to a file.")
 def qrisk(w, q, out):
     """Exact false-stationarity probability under the fair-sign model."""
     value = type1_error_probability(QRiskQuery(w=w, q=q))

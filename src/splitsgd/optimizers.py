@@ -15,12 +15,12 @@ replications as rows of :func:`splitsgd.core.lockstep_steps`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from ._csvio import write_csv
-from .core import DivergenceError, RngStream, as_param_vector, check_step_size
+from .core import DivergenceError, RngStream, as_param_vector
 from .core import diagnostic_stream, lockstep_steps, sgd_steps
 from .diagnostic import DiagnosticConfig, _two_thread_window_means, _verdicts, run_diagnostic
 from .objectives import Problem, full_loss
@@ -117,14 +117,7 @@ class RunTrace:
     diagnostics: list[DiagnosticEvent] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["epoch", "gradient_evals", "learning_rate", "full_loss", "event"],
-            [
-                (r.epoch, r.gradient_evals, r.learning_rate, r.full_loss, r.event)
-                for r in self.records
-            ],
-        )
+        write_csv(path, [f.name for f in fields(TraceRecord)], [astuple(r) for r in self.records])
 
 
 def final_log_loss(trace: RunTrace) -> float:
@@ -211,37 +204,32 @@ def sqrt_decay_schedule(eta: float, t):
 
 def run_sqrt_decay_sgd(
     problem: Problem,
-    eta: float,
+    cfg: SplitSgdConfig,
     theta0: np.ndarray,
     rng: RngStream,
     budget_epochs: int,
 ) -> RunTrace:
-    """SGD with the deterministic 1/sqrt(t) step-size decay."""
-    check_step_size(eta)
-    log = _EpochLog(problem, budget_epochs, theta0, rng, sqrt_decay_schedule(eta, 1))
+    """SGD with the deterministic 1/sqrt(t) decay of ``cfg.eta``."""
+    log = _EpochLog(problem, budget_epochs, theta0, rng, sqrt_decay_schedule(cfg.eta, 1))
     n = log.n
     for t in range(0, log.budget, n):
         # Each record carries the rate of the next draw (the last one's at the end).
-        log.run(sqrt_decay_schedule(eta, np.arange(t + 1, t + n + 1)), n,
-                then=(sqrt_decay_schedule(eta, min(t + n + 1, log.budget)), EVENT_NONE))
+        log.run(sqrt_decay_schedule(cfg.eta, np.arange(t + 1, t + n + 1)), n,
+                then=(sqrt_decay_schedule(cfg.eta, min(t + n + 1, log.budget)), EVENT_NONE))
     return log.trace()
 
 
 def run_sgd_half(
     problem: Problem,
-    eta: float,
-    t1: int,
+    cfg: SplitSgdConfig,
     theta0: np.ndarray,
     rng: RngStream,
     budget_epochs: int,
 ) -> RunTrace:
     """Open-loop halving: threads of length t1, 2*t1, 4*t1, ... at step
-    sizes eta, eta/2, eta/4, ...; no diagnostics."""
-    check_step_size(eta)
-    if t1 < 1:
-        raise ValueError("t1 must be a positive number of steps")
-    log = _EpochLog(problem, budget_epochs, theta0, rng, eta)
-    current_len = t1
+    sizes eta, eta/2, eta/4, ... (``cfg.t1`` and ``cfg.eta``); no diagnostics."""
+    log = _EpochLog(problem, budget_epochs, theta0, rng, cfg.eta)
+    current_len = cfg.t1
     while log.charged < log.budget:
         steps = min(current_len, log.budget - log.charged)
         then = (log.eta / 2.0, EVENT_HALVED) if log.charged + steps < log.budget else None
@@ -291,14 +279,13 @@ def run_splitsgd(
 
 def run_constant_sgd(
     problem: Problem,
-    eta: float,
+    cfg: SplitSgdConfig,
     theta0: np.ndarray,
     rng: RngStream,
     budget_epochs: int,
 ) -> RunTrace:
-    """Plain SGD at a fixed step size for ``budget_epochs`` epochs: SplitSGD
-    with no diagnostics."""
-    return run_splitsgd(problem, SplitSgdConfig(eta=eta, B=0), theta0, rng, budget_epochs)
+    """Plain SGD at the fixed step size ``cfg.eta``: SplitSGD with no diagnostics."""
+    return run_splitsgd(problem, replace(cfg, B=0), theta0, rng, budget_epochs)
 
 
 def run_split_detection(
@@ -354,15 +341,16 @@ def run_split_detection(
 
 def run_pflug_detection(
     problem: Problem,
-    eta: float,
+    cfg: SplitSgdConfig,
     thetas0,
     rngs: list[RngStream],
     max_epochs: int,
 ) -> list[int | None]:
-    """Constant-rate SGD from every start in ``thetas0`` (start r drawing
-    from ``rngs[r]``) with each run's sum of consecutive-gradient inner
-    products; reports per run the first epoch boundary where its sum is
-    negative, or None when ``max_epochs`` pass without one.
+    """SGD at the constant rate ``cfg.eta`` from every start in ``thetas0``
+    (start r drawing from ``rngs[r]``) with each run's sum of
+    consecutive-gradient inner products; reports per run the first epoch
+    boundary where its sum is negative, or None when ``max_epochs`` pass
+    without one.
 
     The runs are rows of one lockstep loop, stepped an epoch per call, and
     a fired row steps no further, so each reads as a one-row call.  A run
@@ -370,7 +358,6 @@ def run_pflug_detection(
     that epoch; any other divergence raises DivergenceError whose ``row``
     names the run and whose ``step`` counts every step of that run.
     """
-    check_step_size(eta)
     if max_epochs < 0:
         raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
     thetas = np.stack([as_param_vector(theta) for theta in thetas0])
@@ -379,8 +366,8 @@ def run_pflug_detection(
     carry = (np.zeros(len(gens)), np.zeros(len(gens)), np.zeros_like(thetas))
     detected = np.zeros(len(gens), dtype=np.int64)
     for epoch in range(1, max_epochs + 1):
-        _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas, eta,
-                                   n, gens, products=carry)
+        _, failed = lockstep_steps(data.features, data.targets, problem.spec.family, thetas,
+                                   cfg.eta, n, gens, products=carry)
         fired = carry[0] < 0.0
         diverged = np.flatnonzero((failed >= 0) & ~fired)
         if diverged.size:

@@ -145,6 +145,27 @@ class TestCompare:
             assert after[3] == ("inf" if after[0] == "half" else before[3])
             assert before[3] != "inf"
 
+    def test_cell_driver_gets_the_cells_config(self, runner, tmp_path, monkeypatch):
+        # Every driver takes (problem, cfg, start, stream, epochs), with the
+        # cell's validated SplitSgdConfig; the method -> driver table is read
+        # when the cell runs, so a stand-in set on splitsgd.cli receives it.
+        calls, run = [], cli_module.run_sqrt_decay_sgd
+
+        def record(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(cli_module, "run_sqrt_decay_sgd", record)
+        result = runner.invoke(cli, [
+            "compare", "--methods", "sqrt", "--etas", "1e-3", "--epochs", "1", "--seeds", "1",
+            "--t1-epochs", "2", "--w", "5", "--l", "10", "--q", "0.3", "--gamma", "0.25",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert result.exit_code == 0, result.output
+        [(problem, cfg, theta0, rng, epochs)] = calls
+        assert cfg == SplitSgdConfig(eta=1e-3, w=5, l=10, q=0.3, t1=2 * problem.spec.n, gamma=0.25)
+        assert epochs == 1
+
     def test_zero_rate_final_loss_ignores_budget(self, runner, tmp_path):
         values = []
         for epochs in ("1", "3"):
@@ -312,7 +333,7 @@ class TestRace:
     def test_pflug_divergence_names_the_replication_of_its_row(self, runner, tmp_path,
                                                                 monkeypatch):
         # Row r of each detector's lockstep run is replication r.
-        def diverge(problem, eta, thetas0, rngs, max_epochs):
+        def diverge(problem, cfg, thetas0, rngs, max_epochs):
             raise DivergenceError("iterate diverged at step 7", step=7, row=2)
 
         monkeypatch.setattr(cli_module, "run_pflug_detection", diverge)
@@ -582,6 +603,49 @@ class TestInputContract:
         assert message in result.output
         assert not out.exists()
         assert not (tmp_path / "x.csv.meta").exists()
+
+    @staticmethod
+    def _forbid_runs(monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        # Every command but qrisk builds its problem first; qrisk computes one value.
+        monkeypatch.setattr(cli_module, "_make_problem", run)
+        monkeypatch.setattr(cli_module, "type1_error_probability", run)
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--seeds", "1", "--etas", "1e-3", "--epochs", "1", "--out", "{missing}"],
+        ["race", "--reps", "1", "--max-epochs", "1", "--out", "{missing}"],
+        ["mc", "--reps", "2", "--out", "{missing}"],
+        ["sensitivity", "--seeds", "1", "--out", "{missing}"],
+        ["gen-data", "--out", "{missing}"],
+        ["gen-data", "--out", ""],
+        ["gen-data", "--out", "{file}/x.csv"],
+        ["qrisk", "--w", "20", "--q", "0.4", "--out", "{missing}"],
+        ["qrisk", "--w", "20", "--q", "0.4", "--out", "{file}/x.csv"],
+    ], ids=" ".join)
+    def test_unwritable_out_exits_2_before_any_run(self, runner, tmp_path, monkeypatch, args):
+        # An --out that names no file in an existing directory is rejected
+        # while the options are parsed, before any work starts.
+        self._forbid_runs(monkeypatch)
+        existing = tmp_path / "file.txt"
+        existing.write_text("kept\n")
+        paths = {"missing": tmp_path / "nodir" / "x.csv", "file": existing}
+        result = runner.invoke(cli, [arg.format(**paths) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--out'" in result.output
+        assert sorted(tmp_path.iterdir()) == [existing]
+        assert existing.read_text() == "kept\n"
+
+    def test_non_utf8_config_is_usage_error(self, runner, tmp_path, monkeypatch):
+        self._forbid_runs(monkeypatch)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seeds=\xff\xfe\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(cli, ["compare", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "not UTF-8 text" in result.output
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     def test_race_config_gamma_is_usage_error(self, runner, tmp_path):
         # Neither race detector decays its rate, so race takes no gamma.

@@ -21,7 +21,7 @@ from splitsgd.core import (
     sgd_steps,
 )
 from splitsgd.diagnostic import DiagnosticConfig, run_diagnostic
-from splitsgd.objectives import Dataset, Problem, ProblemSpec
+from splitsgd.objectives import Dataset, Problem, ProblemSpec, gradient_at_index
 
 
 def _vec(*values):
@@ -450,6 +450,36 @@ class TestLockstepWindows:
             if step_1 < 0:
                 seen.add("thread 2 only")
         assert seen == {"thread 2 earlier", "thread 2 only"}
+
+
+class TestKernelsFollowTheGradientOracle:
+    # Acceptance tests 01 and 02 check objectives.gradient_at_index against
+    # finite differences and the full gradient.  These tie that oracle to
+    # the two kernels every artifact steps on: at eta = 0.5 (a power of two,
+    # so (eta * r) * x == eta * (r * x) exactly) one step from theta on a
+    # generator whose first draw is i lands on theta - 0.5 * g_i, bit for bit.
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_one_step_is_the_oracle_step(self, family, linear_problem, logistic_problem):
+        problem = linear_problem if family == "linear" else logistic_problem
+        data, (n, d) = problem.dataset, problem.dataset.features.shape
+        pairs = 200
+        thetas = RngStream(303).generator().normal(0.0, 1.0, size=(pairs, d))
+        streams = [RngStream(304).fork(k) for k in range(pairs)]
+        firsts = [int(stream.generator().integers(0, n, size=1)[0]) for stream in streams]
+        expected = np.stack([
+            theta - 0.5 * gradient_at_index(data, family, theta, i)
+            for theta, i in zip(thetas, firsts)
+        ])
+        assert len(set(firsts)) > pairs // 2
+        for theta, stream, want in zip(thetas, streams, expected):
+            stepped = theta.copy()
+            sgd_steps(data.features, data.targets, family, stepped, 0.5, 1, stream.generator())
+            assert np.array_equal(stepped, want)
+        rows = thetas.copy()
+        _, failed = lockstep_steps(data.features, data.targets, family, rows, 0.5, 1,
+                                   [stream.generator() for stream in streams])
+        assert (failed == -1).all()
+        assert np.array_equal(rows, expected)
 
 
 class TestRngStream:

@@ -103,7 +103,7 @@ class TestSplitSgd:
         # Constant SGD is SplitSGD with B = 0; it must still be plain SGD,
         # an epoch of sgd_steps at a time on the same generator.
         theta0 = _start(linear_problem, 31)
-        const = run_constant_sgd(linear_problem, 1e-3, theta0.copy(), RngStream(8), 5)
+        const = run_constant_sgd(linear_problem, SplitSgdConfig(eta=1e-3), theta0.copy(), RngStream(8), 5)
         data, n = linear_problem.dataset, linear_problem.spec.n
         theta, gen = theta0.copy(), RngStream(8).generator()
         losses = [full_loss(data, "linear", theta)]
@@ -214,12 +214,12 @@ class TestSplitSgd:
 
 class TestConstantSgd:
     def test_zero_rate_keeps_loss_constant(self, small_linear_problem):
-        trace = run_constant_sgd(small_linear_problem, 0.0, np.ones(4), RngStream(0), 4)
+        trace = run_constant_sgd(small_linear_problem, SplitSgdConfig(eta=0.0), np.ones(4), RngStream(0), 4)
         losses = {record.full_loss for record in trace.records}
         assert len(losses) == 1
 
     def test_epoch_records_cover_budget(self, small_linear_problem):
-        trace = run_constant_sgd(small_linear_problem, 1e-3, np.ones(4), RngStream(1), 7)
+        trace = run_constant_sgd(small_linear_problem, SplitSgdConfig(eta=1e-3), np.ones(4), RngStream(1), 7)
         assert [r.epoch for r in trace.records] == list(range(8))
         assert trace.total_evals == 7 * small_linear_problem.spec.n
 
@@ -235,7 +235,7 @@ class TestConstantSgd:
         batch_bound = 2.0 / float(np.linalg.eigvalsh(X.T @ X / X.shape[0])[-1])
         eta = 1e-4
         assert eta < per_sample_bound < batch_bound
-        trace = run_constant_sgd(problem, eta, reversed_start(spec), RngStream(18), 10)
+        trace = run_constant_sgd(problem, SplitSgdConfig(eta=eta), reversed_start(spec), RngStream(18), 10)
         losses = [record.full_loss for record in trace.records]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -265,7 +265,7 @@ class TestConstantSgd:
         for seed in range(10):
             stream = RngStream(0).fork(0xB1A).fork(seed)
             theta0 = perturbed_start(reversed_start(linear_problem.spec), stream.fork(0))
-            trace = run_constant_sgd(linear_problem, eta, theta0, stream.fork(1), 20)
+            trace = run_constant_sgd(linear_problem, SplitSgdConfig(eta=eta), theta0, stream.fork(1), 20)
             finals.append(trace.records[-1].full_loss)
         measured = float(np.mean(finals))
         assert abs(measured - expected) / expected < 0.05
@@ -282,7 +282,7 @@ class TestSqrtDecay:
         # Each record carries the rate of the next draw; the last one, at
         # the end of the budget, keeps the last draw's.
         n, budget = small_linear_problem.spec.n, 6 * small_linear_problem.spec.n
-        trace = run_sqrt_decay_sgd(small_linear_problem, 1e-3, np.ones(4), RngStream(2), 6)
+        trace = run_sqrt_decay_sgd(small_linear_problem, SplitSgdConfig(eta=1e-3), np.ones(4), RngStream(2), 6)
         rates = [record.learning_rate for record in trace.records]
         assert rates[0] == 20.0 * 1e-3
         assert all(b < a for a, b in zip(rates, rates[1:]))
@@ -308,16 +308,19 @@ class TestEpochLog:
         assert np.array_equal(start, np.ones(4))
         assert [r.epoch for r in log.records] == [0, 1]
 
-    @pytest.mark.parametrize("run", [run_constant_sgd, run_sqrt_decay_sgd])
+    @pytest.mark.parametrize("run", [run_splitsgd, run_constant_sgd, run_sqrt_decay_sgd,
+                                     run_sgd_half])
     def test_negative_budget_rejected(self, small_linear_problem, run):
+        cfg = SplitSgdConfig(eta=1e-3, w=4, l=5, t1=40)
         with pytest.raises(ValueError, match="epoch budget must be >= 0"):
-            run(small_linear_problem, 1e-3, np.zeros(4), RngStream(0), -1)
+            run(small_linear_problem, cfg, np.zeros(4), RngStream(0), -1)
 
 
 class TestSgdHalf:
     def test_rates_halve_and_threads_double(self, small_linear_problem):
         n = small_linear_problem.spec.n
-        trace = run_sgd_half(small_linear_problem, 1e-2, n, np.ones(4), RngStream(3), 15)
+        cfg = SplitSgdConfig(eta=1e-2, t1=n)
+        trace = run_sgd_half(small_linear_problem, cfg, np.ones(4), RngStream(3), 15)
         # Thread boundaries at t1 * (2^k - 1) epochs: 1, 3, 7, 15.  Each
         # boundary record carries the rate of the next draw and the halving;
         # the last one, at the end of the budget, keeps the last draw's.
@@ -332,24 +335,23 @@ class TestSgdHalf:
 
     def test_halving_on_an_epoch_boundary_shows_in_its_record(self, small_linear_problem):
         n = small_linear_problem.spec.n
-        trace = run_sgd_half(small_linear_problem, 1e-2, 4 * n, np.ones(4), RngStream(3), 14)
+        cfg = SplitSgdConfig(eta=1e-2, t1=4 * n)
+        trace = run_sgd_half(small_linear_problem, cfg, np.ones(4), RngStream(3), 14)
         events = {r.epoch: (r.learning_rate, r.event) for r in trace.records if r.event != EVENT_NONE}
         assert events == {4: (0.005, EVENT_HALVED), 12: (0.0025, EVENT_HALVED)}
         assert trace.records[5].learning_rate == 0.005 and trace.records[-1].learning_rate == 0.0025
 
     def test_halving_inside_an_epoch_shows_at_the_next_boundary(self, small_linear_problem):
         # Threads of 30 and 60 steps end at steps 30 and 90 of 60-step epochs.
-        trace = run_sgd_half(small_linear_problem, 1e-2, 30, np.ones(4), RngStream(3), 2)
+        cfg = SplitSgdConfig(eta=1e-2, t1=30)
+        trace = run_sgd_half(small_linear_problem, cfg, np.ones(4), RngStream(3), 2)
         assert [(r.learning_rate, r.event) for r in trace.records] == [
             (1e-2, EVENT_NONE), (5e-3, EVENT_HALVED), (2.5e-3, EVENT_HALVED),
         ]
 
-    def test_empty_first_thread_rejected(self, small_linear_problem):
-        with pytest.raises(ValueError, match="t1 must be"):
-            run_sgd_half(small_linear_problem, 1e-2, 0, np.ones(4), RngStream(3), 2)
-
     def test_rate_after_k_threads(self, small_linear_problem):
-        trace = run_sgd_half(small_linear_problem, 0.8, 60, np.ones(4), RngStream(4), 31)
+        cfg = SplitSgdConfig(eta=0.8, t1=60)
+        trace = run_sgd_half(small_linear_problem, cfg, np.ones(4), RngStream(4), 31)
         final_rate = trace.records[-1].learning_rate
         assert final_rate == 0.8 * 2.0**-4  # threads of 1+2+4+8 epochs end at 15
 
@@ -367,7 +369,7 @@ class TestPflug:
             spec=spec,
             dataset=Dataset(features=np.array([[1.0]]), targets=np.zeros(1)),
         )
-        detection = run_pflug_detection(problem, 1.5, [np.ones(1)], [RngStream(0)], 10)
+        detection = run_pflug_detection(problem, SplitSgdConfig(eta=1.5), [np.ones(1)], [RngStream(0)], 10)
         assert detection == [2]
 
     def test_noiseless_never_detects(self):
@@ -375,7 +377,7 @@ class TestPflug:
         problem = build_problem(spec)
         starts = [reversed_start(spec)] * 3
         detection = run_pflug_detection(
-            problem, 1e-3, starts, [RngStream(seed) for seed in range(3)], 5
+            problem, SplitSgdConfig(eta=1e-3), starts, [RngStream(seed) for seed in range(3)], 5
         )
         assert detection == [None] * 3
 
@@ -388,8 +390,9 @@ class TestPflug:
         base = start_point(problem.spec, "near-opt")
         starts = [perturbed_start(base, RngStream(40).fork(r)) for r in range(20)]
         rngs = [RngStream(41).fork(r) for r in range(20)]
-        rows = run_pflug_detection(problem, 1e-2, starts, rngs, 8)
-        alone = [run_pflug_detection(problem, 1e-2, [s], [g], 8)[0] for s, g in zip(starts, rngs)]
+        cfg = SplitSgdConfig(eta=1e-2)
+        rows = run_pflug_detection(problem, cfg, starts, rngs, 8)
+        alone = [run_pflug_detection(problem, cfg, [s], [g], 8)[0] for s, g in zip(starts, rngs)]
         assert rows == alone
         assert len(set(rows)) >= 3
 
@@ -406,11 +409,12 @@ class TestPflug:
         features = np.array([[1.0], [0.5], [-1.0], [1e154]])
         problem = Problem(spec=spec, dataset=Dataset(features=features, targets=np.zeros(4)))
         starts, rngs = [np.array([1e154])] * 6, [RngStream(4).fork(r) for r in range(6)]
-        assert run_pflug_detection(problem, 10.0, starts[:4], rngs[:4], 5) == [1] * 4
+        cfg = SplitSgdConfig(eta=10.0)
+        assert run_pflug_detection(problem, cfg, starts[:4], rngs[:4], 5) == [1] * 4
         with pytest.raises(DivergenceError) as alone:
-            run_pflug_detection(problem, 10.0, starts[4:5], rngs[4:5], 5)
+            run_pflug_detection(problem, cfg, starts[4:5], rngs[4:5], 5)
         with pytest.raises(DivergenceError) as excinfo:
-            run_pflug_detection(problem, 10.0, starts, rngs, 5)
+            run_pflug_detection(problem, cfg, starts, rngs, 5)
         err = excinfo.value
         assert (alone.value.row, alone.value.step) == (0, 1)
         assert (err.row, err.step) == (4, 1)
@@ -418,13 +422,7 @@ class TestPflug:
         # Drawn last in epoch 1, the big row leaves a finite residual but
         # overflows the iterate and the sum (to -inf): a detection, not a
         # divergence, as in a per-sample run that checks each residual.
-        assert run_pflug_detection(problem, 10.0, [np.ones(1)], [RngStream(1)], 5) == [1]
-
-    def test_budget_validation(self, small_linear_problem):
-        with pytest.raises(ValueError):
-            run_pflug_detection(small_linear_problem, 1e-3, [np.zeros(4)], [RngStream(0)], -1)
-        assert run_pflug_detection(small_linear_problem, 1e-3, [np.zeros(4)], [RngStream(0)], 0) == [None]
-
+        assert run_pflug_detection(problem, cfg, [np.ones(1)], [RngStream(1)], 5) == [1]
 
 class TestSplitDetection:
     def test_unconditional_threshold_detects_at_first_diagnostic(self, linear_problem):
@@ -530,11 +528,16 @@ class TestSplitDetection:
         for err in (single.value, rows.value):
             assert (err.step, err.thread, str(err)) == (step, None, f"iterate diverged at step {step}")
 
-    def test_budget_validation(self, small_linear_problem):
+
+class TestDetectors:
+    @pytest.mark.parametrize("detect", [run_split_detection, run_pflug_detection])
+    def test_budget_validation(self, small_linear_problem, detect):
+        # Both detectors take the schedule drivers' (problem, cfg, starts,
+        # streams, epochs) and check the epoch budget as they do.
         cfg = SplitSgdConfig(eta=1e-3, w=4, l=5, t1=40)
-        with pytest.raises(ValueError):
-            run_split_detection(small_linear_problem, cfg, [np.zeros(4)], [RngStream(0)], -1)
-        assert run_split_detection(small_linear_problem, cfg, [np.zeros(4)], [RngStream(0)], 0) == [None]
+        with pytest.raises(ValueError, match="epoch budget must be >= 0"):
+            detect(small_linear_problem, cfg, [np.zeros(4)], [RngStream(0)], -1)
+        assert detect(small_linear_problem, cfg, [np.zeros(4)], [RngStream(0)], 0) == [None]
 
 
 class TestTraceUtilities:
@@ -550,7 +553,7 @@ class TestTraceUtilities:
         assert final_log_loss(self._trace(0.0)) == -math.inf
 
     def test_write_csv(self, tmp_path, small_linear_problem):
-        trace = run_constant_sgd(small_linear_problem, 1e-3, np.ones(4), RngStream(7), 3)
+        trace = run_constant_sgd(small_linear_problem, SplitSgdConfig(eta=1e-3), np.ones(4), RngStream(7), 3)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().splitlines()
