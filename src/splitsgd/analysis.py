@@ -10,13 +10,13 @@ probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_step_size, diagnostic_stream, lockstep_steps
+from .core import RngStream, diagnostic_stream, lockstep_steps
 from .diagnostic import DiagnosticConfig, _two_thread_window_means, _verdicts, decide
-from .objectives import Problem, ProblemSpec, build_problem, replication_starts
+from .objectives import DEFAULT_START_NOISE_SD, Problem, ProblemSpec, build_problem, replication_starts
 
 __all__ = [
     "CoherenceStudy",
@@ -37,7 +37,8 @@ class CoherenceStudy:
     then that stream's first diagnostic: with the thread length as burn-in,
     SplitSGD's first diagnostic.  Only ``windows`` windows are run (default:
     ``window_index``) — a window's coherence depends only on the draws up
-    to that window, so truncating the tail changes nothing.
+    to that window, so truncating the tail changes nothing.  ``diagnostic``
+    is the configuration of those windows, which also checks eta and l.
     """
 
     problem: ProblemSpec | Problem
@@ -49,20 +50,22 @@ class CoherenceStudy:
     l: int = 50
     windows: int | None = None
     start: str = "reversed"
-    start_noise_sd: float = 0.1
+    start_noise_sd: float = DEFAULT_START_NOISE_SD
+    diagnostic: DiagnosticConfig = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_step_size(self.eta)
         if self.burn_in_steps < 0:
             raise ValueError("burn_in_steps must be >= 0")
-        if self.window_index < 1 or self.l < 1:
-            raise ValueError("window_index and l must be positive")
+        if self.window_index < 1:
+            raise ValueError("window_index must be positive")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if self.windows is not None and self.windows < self.window_index:
             raise ValueError("windows must cover window_index")
         if not self.start_noise_sd >= 0.0:
             raise ValueError(f"start_noise_sd must be >= 0, got {self.start_noise_sd}")
+        windows = self.window_index if self.windows is None else self.windows
+        object.__setattr__(self, "diagnostic", DiagnosticConfig(self.eta, windows, self.l, 0.5))
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,6 @@ def coherence_histogram(
     dataset = problem.dataset
     spec = problem.spec
     n_rep = study.replications
-    windows = study.windows if study.windows is not None else study.window_index
-    diag_cfg = DiagnosticConfig(eta=study.eta, w=windows, l=study.l, q=0.5)
 
     thetas, mains = replication_starts(spec, study.start, rng, range(n_rep), study.start_noise_sd)
     _, failed = lockstep_steps(
@@ -110,10 +111,10 @@ def coherence_histogram(
     means, ends, failed = _two_thread_window_means(
         problem,
         thetas[kept_reps],
-        diag_cfg,
+        study.diagnostic,
         [diagnostic_stream(mains[r], 1) for r in kept_reps],
     )
-    coherences, bad = _verdicts(means, ends, failed, diag_cfg.q)[:2]
+    coherences, bad = _verdicts(means, ends, failed, study.diagnostic.q)[:2]
     ok = ~bad
     diverged = int(n_rep - ok.sum())
     means_1, means_2 = means[study.window_index - 1][:, ok]

@@ -32,6 +32,7 @@ from .analysis import (
 from .core import DATA_STREAM_CHILD, DivergenceError, NumericError, RngStream
 from .core import experiment_stream
 from .objectives import (
+    DEFAULT_START_NOISE_SD,
     FAMILIES,
     START_POINTS,
     Problem,
@@ -304,7 +305,7 @@ def race(problem, noise_sd, seed, out, eta_scale, eta, reps, max_epochs, start, 
 @click.option("--windows", type=int, default=None, help="Windows to run (default: --window-index).")
 @click.option("--normalized/--raw", default=False, show_default=True, help="Record cosines instead of raw inner products.")
 @start_option
-@click.option("--start-noise-sd", type=float, default=0.1, show_default=True)
+@click.option("--start-noise-sd", type=float, default=DEFAULT_START_NOISE_SD, show_default=True)
 def mc(problem, noise_sd, seed, out, eta, burn_in_epochs, reps, window_index, l, windows, normalized, start, start_noise_sd):
     """Monte-Carlo histogram of one window's gradient coherence."""
     instance = _make_problem(problem, seed, noise_sd)

@@ -36,7 +36,6 @@ __all__ = [
     "NumericError",
     "RngStream",
     "as_param_vector",
-    "check_step_size",
     "diagnostic_stream",
     "experiment_stream",
     "lockstep_steps",
@@ -71,20 +70,14 @@ class DimensionError(ValueError):
     """A parameter vector does not match the data it is updated with."""
 
 
-def as_param_vector(values, *, require_finite: bool = True) -> np.ndarray:
-    """Coerce to a 1-D float64 array, validating shape (and finiteness)."""
+def as_param_vector(values) -> np.ndarray:
+    """Coerce to a 1-D float64 array, validating shape and finiteness."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionError(f"parameter vector must be 1-D, got shape {arr.shape}")
-    if require_finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericError("parameter vector contains non-finite entries")
     return arr
-
-
-def check_step_size(eta: float) -> None:
-    """Reject a negative, infinite or NaN step size (``ValueError``)."""
-    if not (eta >= 0.0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
 
 
 def _mix64(a: int, b: int) -> int:
@@ -154,14 +147,21 @@ def diagnostic_stream(main: RngStream, k: int) -> RngStream:
 _CHUNK = 1024
 
 
+# The logistic link, scalar and row forms.  Both clip the margin to [-40, 40]
+# (not exact below -40; every logistic artifact's bits need it) and take
+# math.exp per entry (np.exp's last bit depends on numpy's CPU dispatch).
 def _sigmoid_scalar(z: float) -> float:
-    # Scalar logistic function for the per-draw hot paths, clipped as
-    # objectives.sigmoid is (not exact below -40; the artifacts' bits need it).
     if z < -40.0:
         z = -40.0
     elif z > 40.0:
         z = 40.0
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def _sigmoid_rows(z: np.ndarray) -> np.ndarray:
+    """:func:`_sigmoid_scalar` of every entry of the 1-D ``z``, as a new array."""
+    e = np.fromiter(map(math.exp, (-np.clip(z, -40.0, 40.0)).tolist()), np.float64, len(z))
+    return 1.0 / (1.0 + e)
 
 
 def sgd_steps(
@@ -273,8 +273,7 @@ def lockstep_steps(
     if products is not None:
         total, prev_r, prev_x = products
     failed = np.full(n_rows, -1, dtype=np.int64)
-    clip, negative, subtract, divide = np.clip, np.negative, np.subtract, np.divide
-    multiply, vecdot, exp = np.multiply, np.vecdot, math.exp
+    multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
     # Overflow on a blown-up iterate is the divergence signal: it shows up
     # as a non-finite margin (checked once per block) or final iterate.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,13 +295,7 @@ def lockstep_steps(
                     if linear:
                         z = vecdot(x, thetas, out=margins)
                     else:
-                        # _sigmoid_scalar's operations on a copy of the margins;
-                        # math.exp, not np.exp: the two differ in the last bit.
-                        z = clip(vecdot(x, thetas, out=zs[j]), -40.0, 40.0)
-                        negative(z, out=z)
-                        z = np.fromiter(map(exp, z.tolist()), np.float64, n_rows)
-                        z += 1.0
-                        divide(1.0, z, out=z)
+                        z = _sigmoid_rows(vecdot(x, thetas, out=zs[j]))
                     subtract(z, r, out=r)
                     if products is not None:
                         total += (r * prev_r) * vecdot(x, prev_x)

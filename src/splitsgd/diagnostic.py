@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, RngStream, as_param_vector, check_step_size, lockstep_steps
+from .core import DivergenceError, RngStream, as_param_vector, lockstep_steps
 from .objectives import Problem
 
 __all__ = [
@@ -56,7 +56,8 @@ class DiagnosticConfig:
     q: float = 0.4
 
     def __post_init__(self):
-        check_step_size(self.eta)
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"eta must be >= 0 and finite, got {self.eta}")
         if self.w < 1 or self.l < 1:
             raise ValueError("w and l must be positive integers")
         if not 0.0 <= self.q <= 1.0:
@@ -161,7 +162,7 @@ def run_diagnostic(
     Costs exactly 2*w*l gradient draws.  Each thread starts from theta_in
     with its own child stream of ``rng``.
     """
-    theta_in = as_param_vector(theta_in, require_finite=False)
+    theta_in = as_param_vector(theta_in)
     coherences, _, stationary, count, midpoints = _verdicts(
         *_two_thread_window_means(problem, theta_in[None], cfg, [rng]), cfg.q, [None]
     )

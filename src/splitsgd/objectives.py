@@ -9,13 +9,13 @@ samples) is an unbiased estimate of the full gradient.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvio import write_csv
-from .core import DATA_STREAM_CHILD, RngStream, _sigmoid_scalar, as_param_vector, replication_streams
+from .core import DATA_STREAM_CHILD, RngStream, _sigmoid_rows, _sigmoid_scalar, as_param_vector
+from .core import replication_streams
 
 __all__ = [
     "Dataset",
@@ -30,10 +30,8 @@ __all__ = [
     "gradient_at_index",
     "make_default_spec",
     "perturbed_start",
-    "read_dataset_csv",
     "replication_starts",
     "reversed_start",
-    "sigmoid",
     "start_point",
     "write_dataset_csv",
 ]
@@ -44,6 +42,8 @@ START_POINTS = ("reversed", "near-opt")
 DEFAULT_N = 1000
 DEFAULT_D = 20
 DEFAULT_NOISE_SD = 1.0
+# Standard deviation of the N(0, sd^2 I) noise added to a run's start point.
+DEFAULT_START_NOISE_SD = 0.1
 
 
 def default_theta_star(d: int = DEFAULT_D) -> np.ndarray:
@@ -108,19 +108,6 @@ def make_default_spec(
     )
 
 
-def sigmoid(z):
-    """Numerically safe logistic function for arrays.
-
-    The margin is clipped to [-40, 40]: exact above, where float64 rounds
-    the sigmoid to 1.0 from z ~ 36.8 on, but not below, where it keeps
-    shrinking (4.25e-18 at -40, 1.93e-22 at -50) until ``exp(-z)``
-    overflows below z ~ -709.8.  The clip stays: every logistic artifact's
-    bits depend on it.
-    """
-    z = np.clip(z, -40.0, 40.0)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def generate(spec: ProblemSpec) -> Dataset:
     """Realize the dataset from the spec's data stream.
 
@@ -136,7 +123,7 @@ def generate(spec: ProblemSpec) -> Dataset:
         if not np.isfinite(targets).all():
             raise ValueError(f"noise_sd={spec.noise_sd} gives non-finite targets")
     else:
-        targets = (gen.random(spec.n) < sigmoid(z)).astype(np.float64)
+        targets = (gen.random(spec.n) < _sigmoid_rows(z)).astype(np.float64)
     return Dataset(features=x, targets=targets)
 
 
@@ -179,10 +166,7 @@ def full_loss(dataset: Dataset, family: str, theta: np.ndarray) -> float:
 
 def full_gradient(dataset: Dataset, family: str, theta: np.ndarray) -> np.ndarray:
     z = dataset.features @ theta
-    if family == "linear":
-        r = z - dataset.targets
-    else:
-        r = sigmoid(z) - dataset.targets
+    r = (z if family == "linear" else _sigmoid_rows(z)) - dataset.targets
     return dataset.features.T @ r / dataset.features.shape[0]
 
 
@@ -205,7 +189,7 @@ def start_point(spec: ProblemSpec, start: str) -> np.ndarray:
     return reversed_start(spec) if start == "reversed" else spec.theta_star.copy()
 
 
-def perturbed_start(base: np.ndarray, rng: RngStream, noise_sd: float = 0.1) -> np.ndarray:
+def perturbed_start(base: np.ndarray, rng: RngStream, noise_sd=DEFAULT_START_NOISE_SD) -> np.ndarray:
     """base + N(0, noise_sd^2 I) drawn from a dedicated stream; it must be finite."""
     with np.errstate(over="ignore"):
         theta = base + noise_sd * rng.generator().standard_normal(base.shape[0])
@@ -215,7 +199,7 @@ def perturbed_start(base: np.ndarray, rng: RngStream, noise_sd: float = 0.1) -> 
 
 
 def replication_starts(spec: ProblemSpec, start: str, experiment: RngStream, reps,
-                       noise_sd: float = 0.1) -> tuple[np.ndarray, list[RngStream]]:
+                       noise_sd=DEFAULT_START_NOISE_SD) -> tuple[np.ndarray, list[RngStream]]:
     """Start points of replications ``reps`` of ``experiment`` as an (R, d)
     array, each the ``start`` point plus N(0, noise_sd^2 I) from its
     start-noise stream, and their main streams (see ``core``'s layout)."""
@@ -229,15 +213,3 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     d = dataset.features.shape[1]
     write_csv(path, [f"x{j}" for j in range(1, d + 1)] + ["y"],
               np.column_stack([dataset.features, dataset.targets]).tolist())
-
-
-def read_dataset_csv(path) -> Dataset:
-    """Inverse of :func:`write_dataset_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y" or len(header) < 2:
-            raise ValueError(f"unexpected dataset header: {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=np.float64)
-    return Dataset(features=np.ascontiguousarray(arr[:, :-1]), targets=np.ascontiguousarray(arr[:, -1]))

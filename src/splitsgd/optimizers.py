@@ -130,6 +130,13 @@ def final_log_loss(trace: RunTrace) -> float:
     return math.log(loss)
 
 
+def _budget(problem: Problem, epochs: int) -> int:
+    """A run's length in budget units: ``epochs`` epochs of n units each."""
+    if epochs < 0:
+        raise ValueError(f"the epoch budget must be >= 0, got {epochs}")
+    return epochs * problem.spec.n
+
+
 class _EpochLog:
     """One run's main thread, budget counter and per-epoch-boundary records.
 
@@ -144,12 +151,10 @@ class _EpochLog:
     def __init__(self, problem: Problem, budget_epochs: int, theta0: np.ndarray, rng: RngStream,
                  eta: float):
         self.theta = as_param_vector(theta0).copy()
-        if budget_epochs < 0:
-            raise ValueError(f"the epoch budget must be >= 0, got {budget_epochs}")
+        self.budget = _budget(problem, budget_epochs)
         self.dataset = problem.dataset
         self.family = problem.spec.family
         self.n = problem.spec.n
-        self.budget = budget_epochs * self.n
         self.charged = 0
         self.evals = 0
         self.epoch = 0
@@ -169,7 +174,7 @@ class _EpochLog:
         while self.charged >= (self.epoch + 1) * self.n:
             self.epoch += 1
             loss = full_loss(self.dataset, self.family, self.theta)
-            event = ";".join(e for e in self.events if e != EVENT_NONE) or EVENT_NONE
+            event = ";".join(self.events) or EVENT_NONE
             self.records.append(TraceRecord(self.epoch, self.evals, self.eta, loss, event))
             self.events = []
 
@@ -309,12 +314,10 @@ def run_split_detection(
     ``step`` counts every draw of that run, in a diagnostic the draws of
     thread ``thread``.
     """
-    if max_epochs < 0:
-        raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
     thetas = np.stack([as_param_vector(theta) for theta in thetas0])
     data, n, rows = problem.dataset, problem.spec.n, np.arange(len(rngs))
     gens = [rng.generator() for rng in rngs]
-    budget, diag_cost, charged, diags = max_epochs * n, cfg.w * cfg.l, 0, 0
+    budget, diag_cost, charged, diags = _budget(problem, max_epochs), cfg.w * cfg.l, 0, 0
     detected: list[int | None] = [None] * len(gens)
     while charged < budget and gens:
         steps = budget - charged if diags >= cfg.B else min(cfg.t1, budget - charged)
@@ -358,8 +361,7 @@ def run_pflug_detection(
     that epoch; any other divergence raises DivergenceError whose ``row``
     names the run and whose ``step`` counts every step of that run.
     """
-    if max_epochs < 0:
-        raise ValueError(f"the epoch budget must be >= 0, got {max_epochs}")
+    _budget(problem, max_epochs)
     thetas = np.stack([as_param_vector(theta) for theta in thetas0])
     data, n, rows = problem.dataset, problem.spec.n, np.arange(len(rngs))
     gens = [rng.generator() for rng in rngs]

@@ -14,7 +14,7 @@ from splitsgd.analysis import (
     type1_error_probability,
 )
 from splitsgd.core import RngStream
-from splitsgd.diagnostic import decide
+from splitsgd.diagnostic import DiagnosticConfig, decide
 from splitsgd.objectives import Dataset, Problem, ProblemSpec
 
 
@@ -198,3 +198,11 @@ class TestCoherenceHistogram:
             CoherenceStudy(problem=small_linear_problem, eta=1e-2, window_index=0)
         with pytest.raises(ValueError):
             CoherenceStudy(problem=small_linear_problem, eta=1e-2, windows=3, window_index=5)
+
+    def test_diagnostic_is_built_and_checked_with_the_study(self, small_linear_problem):
+        study = CoherenceStudy(problem=small_linear_problem, eta=1e-2, window_index=3, l=7)
+        assert study.diagnostic == DiagnosticConfig(eta=1e-2, w=3, l=7, q=0.5)
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            CoherenceStudy(problem=small_linear_problem, eta=-1e-2)
+        with pytest.raises(ValueError, match="w and l must be positive"):
+            CoherenceStudy(problem=small_linear_problem, eta=1e-2, l=0)

@@ -22,7 +22,6 @@ from splitsgd.objectives import (
     build_problem,
     make_default_spec,
     perturbed_start,
-    read_dataset_csv,
 )
 from splitsgd.optimizers import EVENT_DIAG_S, SplitSgdConfig, run_splitsgd
 
@@ -521,11 +520,11 @@ class TestGenData:
         header, rows = _rows(out)
         assert header == ["x1", "x2", "x3", "y"]
         assert len(rows) == 30
-        dataset = read_dataset_csv(out)
+        loaded = np.loadtxt(out, delimiter=",", skiprows=1)
         spec = make_default_spec("linear", RngStream(9).fork(DATA_STREAM_CHILD), n=30, d=3)
         expected = build_problem(spec).dataset
-        assert np.array_equal(dataset.features, expected.features)
-        assert np.array_equal(dataset.targets, expected.targets)
+        assert np.array_equal(loaded[:, :-1], expected.features)
+        assert np.array_equal(loaded[:, -1], expected.targets)
 
 
 class TestInputContract:
@@ -564,6 +563,8 @@ class TestInputContract:
         ["gen-data", "--seed", "-1"],
         ["mc", "--seed", str(2**64)],
         ["sensitivity", "--w-values", "10.5"],
+        ["compare", "--etas", ","],
+        ["sensitivity", "--w-values", " , "],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, runner, tmp_path, recwarn, args):
         out = tmp_path / "x.csv"

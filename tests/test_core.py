@@ -1,6 +1,5 @@
 """Core numeric primitives: the per-sample and lockstep SGD loops (with
-window sums and consecutive-gradient products), step-size checks, rng
-streams."""
+window sums and consecutive-gradient products), rng streams."""
 
 import math
 
@@ -16,7 +15,6 @@ from splitsgd.core import (
     NumericError,
     RngStream,
     as_param_vector,
-    check_step_size,
     lockstep_steps,
     sgd_steps,
 )
@@ -148,12 +146,6 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_steps(features, targets, "linear", np.ones(3), np.full(2, 0.1), 3,
                       RngStream(13).generator())
-
-    def test_negative_eta_rejected(self):
-        check_step_size(0.0)
-        for bad in (-1e-9, math.nan):
-            with pytest.raises(ValueError):
-                check_step_size(bad)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,6 +1,7 @@
 """Two-thread coherence diagnostic: decision rule, budgets, symmetry."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -334,6 +335,12 @@ class TestNearOptimumRegime:
 
 
 class TestConfigValidation:
+    def test_negative_eta_rejected(self):
+        DiagnosticConfig(eta=0.0)
+        for bad in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta must be >= 0 and finite"):
+                DiagnosticConfig(eta=bad)
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             DiagnosticConfig(eta=-1e-3)

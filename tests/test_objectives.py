@@ -18,10 +18,8 @@ from splitsgd.objectives import (
     gradient_at_index,
     make_default_spec,
     perturbed_start,
-    read_dataset_csv,
     replication_starts,
     reversed_start,
-    sigmoid,
     start_point,
     write_dataset_csv,
 )
@@ -86,7 +84,7 @@ class TestGenerate:
         # Mean target should sit within 3 binomial standard errors of the
         # mean success probability implied by the true coefficients.
         ds = logistic_problem.dataset
-        p = sigmoid(ds.features @ logistic_problem.spec.theta_star)
+        p = 1.0 / (1.0 + np.exp(-(ds.features @ logistic_problem.spec.theta_star)))
         se = math.sqrt(float(np.mean(p * (1.0 - p))) / ds.targets.size)
         assert abs(float(ds.targets.mean()) - float(p.mean())) <= 3.0 * se
 
@@ -239,18 +237,12 @@ class TestDatasetCsv:
     def test_round_trip_exact(self, tmp_path, small_linear_problem):
         path = tmp_path / "data.csv"
         write_dataset_csv(small_linear_problem.dataset, path)
-        loaded = read_dataset_csv(path)
-        assert np.array_equal(loaded.features, small_linear_problem.dataset.features)
-        assert np.array_equal(loaded.targets, small_linear_problem.dataset.targets)
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(loaded[:, :-1], small_linear_problem.dataset.features)
+        assert np.array_equal(loaded[:, -1], small_linear_problem.dataset.targets)
 
     def test_header_names(self, tmp_path, small_linear_problem):
         path = tmp_path / "data.csv"
         write_dataset_csv(small_linear_problem.dataset, path)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,x3,x4,y"
-
-    def test_header_without_target_column_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("x1,x2,target\n1.0,2.0,3.0\n")
-        with pytest.raises(ValueError, match="unexpected dataset header"):
-            read_dataset_csv(path)

@@ -468,6 +468,30 @@ class TestSplitDetection:
         assert None in rows
         assert len(set(rows)) >= 4
 
+    def _reversed_rows(self, problem, cfg, max_epochs):
+        # Three runs from the reversed start, run r on RngStream(5).fork(r).
+        starts = [reversed_start(problem.spec)] * 3
+        return run_split_detection(problem, cfg, starts, [RngStream(5).fork(r) for r in range(3)],
+                                   max_epochs)
+
+    def test_detection_off_the_epoch_lattice_rounds_up(self, linear_problem):
+        # At q = 0 the first diagnostic fires; it ends after t1 + w*l = 1600
+        # charged units, inside epoch 2.
+        cfg = SplitSgdConfig(eta=1e-3, w=20, l=30, q=0.0, t1=1000)
+        assert self._reversed_rows(linear_problem, cfg, 5) == [2, 2, 2]
+
+    def test_diagnostic_that_exactly_fills_the_budget_runs(self, linear_problem):
+        # t1 + w*l = 2000 units is the whole two-epoch budget.
+        cfg = SplitSgdConfig(eta=1e-3, w=20, l=50, q=0.0, t1=1000)
+        assert self._reversed_rows(linear_problem, cfg, 2) == [2, 2, 2]
+
+    def test_divergence_names_the_first_of_several_rows(self, linear_problem):
+        # At eta = 1 all three rows diverge in the first main-thread call, at
+        # steps 653, 678 and 688; the error names row 0, with its own step.
+        with pytest.raises(DivergenceError) as excinfo:
+            self._reversed_rows(linear_problem, SplitSgdConfig(eta=1.0, t1=1000), 5)
+        assert (excinfo.value.row, excinfo.value.step) == (0, 653)
+
     def test_divergence_names_the_row_thread_and_step(self):
         # Drawing the last data row overflows the iterate, and q = 1 keeps
         # every run undetected.  Run 0 starts at the optimum and stays there;
